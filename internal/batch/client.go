@@ -234,11 +234,7 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 	if err != nil {
 		return errFatal{err}
 	}
-	base := member
-	if !hasURLScheme(base) {
-		base = "http://" + base
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/batch", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ring.BaseURL(member)+"/v1/batch", bytes.NewReader(body))
 	if err != nil {
 		return errFatal{err}
 	}
@@ -278,18 +274,4 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 		got++
 	}
 	return nil
-}
-
-// hasURLScheme reports whether addr already carries a URL scheme, so
-// bare host:port member strings get "http://" prepended.
-func hasURLScheme(addr string) bool {
-	for i := 0; i < len(addr); i++ {
-		switch {
-		case addr[i] == ':':
-			return i+2 < len(addr) && addr[i+1] == '/' && addr[i+2] == '/'
-		case addr[i] == '/' || addr[i] == '.':
-			return false
-		}
-	}
-	return false
 }

@@ -1,13 +1,14 @@
-// Package campaign is the coverage-guided, distributed metamorphic
-// campaign engine layered on internal/metamorph. Where metamorph.Run
-// draws mutators uniformly and reports raw invariant violations, a
-// campaign closes the loop the way coverage-guided fuzzers do: each
+// Package campaign is the metamorphic campaign engine layered on
+// internal/metamorph and its only campaign runner: `polora fuzz`,
+// polorad's /v1/campaign, and the metamorph campaign tests all use it.
+// A campaign closes the loop the way coverage-guided fuzzers do: each
 // round is summarized into a cheap coverage key (mutators applied ×
 // invariants stressed × analysis-shape counter deltas × diff root keys),
 // rounds that discover new keys boost the energy of the mutators that
-// produced them (barren rounds decay it), and every violation is triaged — minimized to its
-// smallest reproducing mutation trace and deduplicated by a stable
-// fingerprint — instead of dumped raw.
+// produced them (barren rounds decay it; Options.Uniform turns feedback
+// off), and every violation is triaged — minimized to its smallest
+// reproducing mutation trace and deduplicated by a stable fingerprint —
+// instead of dumped raw.
 //
 // Determinism is structural: a campaign is divided into fixed-size
 // shards, and each shard is an independent, fully sequential feedback
@@ -57,12 +58,13 @@ type Options struct {
 	// The A/B fallback the guided schedule is measured against.
 	Uniform bool
 	// Oracle overrides extraction semantics (nil means
-	// oracle.DefaultOptions); the same soundness constraints as
-	// metamorph.CampaignOptions apply (narrow events, unlimited depth).
+	// oracle.DefaultOptions). NewEngine pins serial extraction and
+	// rejects options metamorph.ValidateOracle calls unsound for the
+	// mutator catalog (broad events, bounded MaxDepth).
 	Oracle *oracle.Options
-	// ParallelEvery / IncrementalEvery sample invariants (c)/(e) every
-	// Nth round, as in metamorph.CampaignOptions; 0 means every 8th,
-	// < 0 disables.
+	// ParallelEvery / IncrementalEvery sample invariants (c)/(e) — each
+	// costs extra full extractions — on every round whose campaign-wide
+	// index is a multiple of N; 0 means every 8th, < 0 disables.
 	ParallelEvery    int
 	IncrementalEvery int
 	// OutDir, when non-empty, receives one self-contained reproducer
@@ -197,7 +199,9 @@ type Engine struct {
 }
 
 // NewEngine validates options, parses the bundle, and extracts the
-// baseline once.
+// baseline once. A baseline that already breaks an invariant against
+// itself (MUST ⊄ MAY, a non-fixed-point export) is an error: every
+// round would inherit it.
 func NewEngine(name string, sources map[string]string, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	serial := oracle.DefaultOptions()
@@ -218,6 +222,9 @@ func NewEngine(name string, sources map[string]string, opts Options) (*Engine, e
 		return nil, fmt.Errorf("campaign: loading baseline: %w", err)
 	}
 	base.Extract(serial)
+	if vs := metamorph.CheckExtracted(base, base, sources, serial, metamorph.MutantChecks{}); len(vs) > 0 {
+		return nil, fmt.Errorf("campaign: baseline %s: %s", vs[0].Invariant, vs[0].Detail)
+	}
 	muts := opts.Mutators
 	if muts == nil {
 		muts = metamorph.Mutators()
@@ -241,8 +248,7 @@ func (e *Engine) Shards() int {
 }
 
 // shardSeed decorrelates per-shard RNG streams drawn from one campaign
-// seed (odd-constant spacing, like metamorph's roundSeed but with a
-// distinct multiplier so shard streams never alias round streams).
+// seed (odd-constant spacing).
 func shardSeed(seed int64, shard int) int64 {
 	return seed + int64(shard+1)*0x2545f4914f6cdd1d
 }

@@ -154,6 +154,11 @@ func TestAppliedAttemptedAccounting(t *testing.T) {
 	if applied > attempted {
 		t.Fatalf("applied %d > attempted %d", applied, attempted)
 	}
+	for m := range res.Applied {
+		if res.Attempted[m] == 0 {
+			t.Errorf("%s applied without an attempted count", m)
+		}
+	}
 }
 
 // TestCampaignMetrics wires a real registry through a run and asserts

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"policyoracle/internal/ring"
 )
 
 // Remote campaigns shard by round range: the client derives the same
@@ -175,10 +177,7 @@ const pollRetryBudget = 3
 // to pollRetryBudget consecutive misses; only an exhausted budget (or a
 // failed/malformed job) reports the worker as dropped.
 func runShardOn(ctx context.Context, client *http.Client, addr string, e *Engine, shard int) (*ShardResult, error) {
-	base := addr
-	if !hasScheme(base) {
-		base = "http://" + base
-	}
+	base := ring.BaseURL(addr)
 	body, err := json.Marshal(e.shardRequest(shard))
 	if err != nil {
 		return nil, err
@@ -248,18 +247,6 @@ func doJSON(ctx context.Context, client *http.Client, method, url string, body i
 		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, truncate(string(data), 200))
 	}
 	return json.Unmarshal(data, out)
-}
-
-func hasScheme(addr string) bool {
-	for i := 0; i < len(addr); i++ {
-		switch {
-		case addr[i] == ':':
-			return i+2 < len(addr) && addr[i+1] == '/' && addr[i+2] == '/'
-		case addr[i] == '/' || addr[i] == '.':
-			return false
-		}
-	}
-	return false
 }
 
 func truncate(s string, n int) string {

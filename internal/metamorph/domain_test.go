@@ -3,6 +3,7 @@ package metamorph_test
 import (
 	"testing"
 
+	"policyoracle/internal/campaign"
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/metamorph"
 	"policyoracle/internal/oracle"
@@ -33,23 +34,14 @@ func cryptoOracleOptions() oracle.Options {
 func TestMetamorphicCryptoCampaign(t *testing.T) {
 	c := gen.Generate(cryptoCampaignParams())
 	opts := cryptoOracleOptions()
-	rep, err := metamorph.Run("jdk", c.Sources["jdk"], metamorph.CampaignOptions{
+	res := runCampaign(t, "jdk", c.Sources["jdk"], campaign.Options{
 		Seed:      2525,
 		Rounds:    25,
 		Mutations: 8,
 		Oracle:    &opts,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("crypto campaign: %s", v)
-	}
-	if rep.Entries == 0 {
-		t.Fatal("no entry points extracted from the crypto corpus")
-	}
 	t.Logf("crypto: %d rounds over %d entries in %v, rewrites %v",
-		rep.Rounds, rep.Entries, rep.Elapsed.Round(1e6), rep.Applied)
+		res.Rounds, res.Entries, res.Elapsed.Round(1e6), res.Applied)
 }
 
 // TestMetamorphicCryptoGroundTruthSurvival mirrors

@@ -3,12 +3,12 @@ package metamorph_test
 import (
 	"testing"
 
+	"policyoracle/internal/campaign"
 	"policyoracle/internal/corpus"
-	"policyoracle/internal/metamorph"
 )
 
-// TestIncrementalCampaignAllCorpora is the byte-identity gate CI runs
-// for incremental extraction: 25 single-rewrite rounds per builtin
+// TestIncrementalCampaignAllCorpora is the byte-identity gate for
+// incremental extraction: 25 single-rewrite rounds per builtin
 // corpus, each asserting invariant (e) — an extraction seeded from the
 // unmutated baseline matches a from-scratch extraction of the mutant
 // byte for byte, in the export wire format and in diff reports both
@@ -16,21 +16,12 @@ import (
 // edit — the workload incremental extraction exists for.
 func TestIncrementalCampaignAllCorpora(t *testing.T) {
 	for _, lib := range corpus.Libraries() {
-		rep, err := metamorph.Run(lib, corpus.Sources(lib), metamorph.CampaignOptions{
+		runCampaign(t, lib, corpus.Sources(lib), campaign.Options{
 			Seed:             4242,
 			Rounds:           25,
 			Mutations:        1,
 			ParallelEvery:    -1, // isolate invariant (e); (c) has its own runs
 			IncrementalEvery: 1,
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", lib, err)
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("%s: %s", lib, v)
-		}
-		if rep.Entries == 0 {
-			t.Fatalf("%s: no entry points extracted", lib)
-		}
 	}
 }

@@ -5,17 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"policyoracle/internal/diff"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
 	"policyoracle/internal/secmodel"
-	"policyoracle/internal/telemetry"
 )
 
 // The five invariants the campaign asserts for every mutant:
@@ -37,56 +32,6 @@ import (
 // invariant — a mutant that fails to parse or type-check means a mutator
 // emitted ill-formed MJ.
 
-// CampaignOptions configures a metamorphic campaign.
-type CampaignOptions struct {
-	// Seed derives every round's mutation schedule; one (Seed, Rounds,
-	// Mutations) triple replays exactly.
-	Seed int64
-	// Rounds is the number of independent mutants (default 100).
-	Rounds int
-	// Mutations is the number of mutator applications per round
-	// (default 8).
-	Mutations int
-	// Workers fans rounds out over a worker pool; <= 0 means GOMAXPROCS.
-	Workers int
-	// Oracle overrides the semantic extraction options (nil means
-	// oracle.DefaultOptions). Parallel/Telemetry are controlled by the
-	// campaign itself. Two semantic constraints are enforced by Run:
-	// narrow events (broad mode's ParamAccess tagging is entry-frame
-	// relative, so helper extraction legitimately moves it) and
-	// unlimited MaxDepth (mutators add call frames, which shifts where
-	// a depth cutoff truncates).
-	Oracle *oracle.Options
-	// ParallelEvery checks invariant (c) — two extra extractions — every
-	// Nth round; 0 means every 8th, < 0 disables.
-	ParallelEvery int
-	// IncrementalEvery checks invariant (e) — one clean rebuild plus one
-	// incremental extraction — every Nth round; 0 means every 8th, < 0
-	// disables.
-	IncrementalEvery int
-	// Metrics, when non-nil, receives per-round counters.
-	Metrics *telemetry.MetamorphMetrics
-}
-
-func (o CampaignOptions) withDefaults() CampaignOptions {
-	if o.Rounds <= 0 {
-		o.Rounds = 100
-	}
-	if o.Mutations <= 0 {
-		o.Mutations = 8
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ParallelEvery == 0 {
-		o.ParallelEvery = 8
-	}
-	if o.IncrementalEvery == 0 {
-		o.IncrementalEvery = 8
-	}
-	return o
-}
-
 // Violation is one invariant failure, with the mutation schedule that
 // produced it (replayable from the campaign seed and round).
 type Violation struct {
@@ -104,124 +49,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("round %d [%s] after %v: %s", v.Round, v.Invariant, v.Mutators, v.Detail)
 }
 
-// Report is the outcome of one campaign.
-type Report struct {
-	Library string
-	Rounds  int
-	// Applied counts successful rewrites per mutator across all rounds.
-	Applied map[string]int
-	// Attempted counts draws per mutator, including those that found no
-	// applicable site; Applied[m] <= Attempted[m] always holds.
-	Attempted  map[string]int
-	Violations []Violation
-	// Entries is the original library's entry-point count.
-	Entries int
-	Elapsed time.Duration
-}
-
-// Run executes a metamorphic campaign over one library bundle: extract
-// the original's policies once, then per round derive a fresh mutant
-// from the seed, re-extract, and check every invariant. Rounds fan out
-// over a worker pool; results are aggregated deterministically (sorted
-// by round), so the report is a pure function of (sources, options).
-func Run(name string, sources map[string]string, opts CampaignOptions) (*Report, error) {
-	opts = opts.withDefaults()
-	start := time.Now()
-	serial := opts.oracleOptions()
-	if err := ValidateOracle(serial); err != nil {
-		return nil, err
-	}
-
-	// Fail fast on input the mutators cannot handle; campaign callers
-	// must supply a cleanly loading bundle.
-	if _, err := ParseBundle(sources); err != nil {
-		return nil, err
-	}
-	base, err := oracle.LoadLibrary(name, sources)
-	if err != nil {
-		return nil, fmt.Errorf("metamorph: loading baseline: %w", err)
-	}
-	base.Extract(serial)
-
-	rep := &Report{
-		Library:   name,
-		Rounds:    opts.Rounds,
-		Applied:   map[string]int{},
-		Attempted: map[string]int{},
-		Entries:   len(base.EntryPoints()),
-	}
-	if v := checkMustSubsetMay(base.Policies); v != "" {
-		rep.Violations = append(rep.Violations, Violation{
-			Round: -1, Invariant: "must-subset-may", Detail: "baseline: " + v,
-		})
-	}
-
-	type roundResult struct {
-		applied    []string
-		attempted  []string
-		violations []Violation
-	}
-	results := make([]roundResult, opts.Rounds)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := opts.Workers
-	if workers > opts.Rounds {
-		workers = opts.Rounds
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r := int(next.Add(1)) - 1
-				if r >= opts.Rounds {
-					return
-				}
-				t0 := time.Now()
-				applied, attempted, violations := runRound(name, sources, base, serial, opts, r)
-				results[r] = roundResult{applied, attempted, violations}
-				if m := opts.Metrics; m != nil {
-					m.Rounds.Inc()
-					m.RoundDuration.ObserveDuration(time.Since(t0))
-					for _, a := range applied {
-						m.Mutations.With(a).Inc()
-					}
-					for _, v := range violations {
-						m.Violations.With(v.Invariant).Inc()
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, rr := range results {
-		for _, a := range rr.applied {
-			rep.Applied[a]++
-		}
-		for _, a := range rr.attempted {
-			rep.Attempted[a]++
-		}
-		rep.Violations = append(rep.Violations, rr.violations...)
-	}
-	sort.SliceStable(rep.Violations, func(i, j int) bool {
-		return rep.Violations[i].Round < rep.Violations[j].Round
-	})
-	rep.Elapsed = time.Since(start)
-	return rep, nil
-}
-
-// oracleOptions resolves the campaign's semantic options with serial
-// extraction pinned (invariant (c) supplies its own parallel leg).
-func (o CampaignOptions) oracleOptions() oracle.Options {
-	opts := oracle.DefaultOptions()
-	if o.Oracle != nil {
-		opts = *o.Oracle
-	}
-	opts.Parallel = 1
-	opts.Telemetry = nil
-	return opts
-}
-
 // ValidateOracle rejects oracle options the mutator catalog is not sound
 // under: broad events (ParamAccess tagging is entry-frame relative, so
 // helper extraction legitimately moves it) and bounded MaxDepth (mutators
@@ -237,8 +64,9 @@ func ValidateOracle(serial oracle.Options) error {
 }
 
 // MutateSources applies a seeded schedule of n mutations and returns the
-// mutated bundle with the mutator names applied, the primitive every
-// campaign round, fuzz target, and ground-truth-survival test shares.
+// mutated bundle with the mutator names applied, the primitive the fuzz
+// target, the summary-cache and ground-truth-survival tests, and
+// polobench's edit-stream chain share.
 func MutateSources(sources map[string]string, seed int64, n int) (map[string]string, []string, error) {
 	b, err := ParseBundle(sources)
 	if err != nil {
@@ -290,47 +118,6 @@ func mutate(b *Bundle, rng *rand.Rand, n int) (applied, attempted []string) {
 	return applied, attempted
 }
 
-// roundSeed decorrelates per-round schedules drawn from one campaign
-// seed (splitmix64-style odd-constant spacing).
-func roundSeed(seed int64, round int) int64 {
-	return seed + int64(round+1)*-0x61c8864680b583eb
-}
-
-// runRound derives mutant r, extracts it, and checks every invariant.
-func runRound(name string, sources map[string]string, base *oracle.Library, serial oracle.Options, opts CampaignOptions, r int) (applied, attempted []string, violations []Violation) {
-	stamp := func(vs []Violation) []Violation {
-		for i := range vs {
-			vs[i].Round = r
-			vs[i].Mutators = applied
-		}
-		return vs
-	}
-	// ParseBundle succeeded on these sources before the pool started, so
-	// a failure here cannot happen; treat it as a load violation anyway
-	// rather than dropping the round.
-	b, err := ParseBundle(sources)
-	if err != nil {
-		violations = stamp([]Violation{{Invariant: "load", Detail: err.Error()}})
-		return
-	}
-	rng := rand.New(rand.NewSource(roundSeed(opts.Seed, r)))
-	applied, attempted = mutate(b, rng, opts.Mutations)
-	mutated := b.Sources()
-
-	lib, err := oracle.LoadLibrary(fmt.Sprintf("%s+r%d", name, r), mutated)
-	if err != nil {
-		violations = stamp([]Violation{{Invariant: "load", Detail: err.Error()}})
-		return
-	}
-	lib.Extract(serial)
-	chk := MutantChecks{
-		Parallel:    opts.ParallelEvery > 0 && r%opts.ParallelEvery == 0,
-		Incremental: opts.IncrementalEvery > 0 && r%opts.IncrementalEvery == 0,
-	}
-	violations = stamp(CheckExtracted(base, lib, mutated, serial, chk))
-	return
-}
-
 // MutantChecks selects which sampled invariants CheckExtracted runs on
 // top of the always-on set; parallel and incremental each cost extra
 // full extractions, so campaigns sample them.
@@ -344,8 +131,9 @@ type MutantChecks struct {
 // (b) MUST ⊆ MAY, (d) export roundtrip fixed point always; (c) parallel
 // byte-identity and (e) incremental == clean rebuild when selected by
 // chk. Round and Mutators on the returned violations are left for the
-// caller to stamp. The campaign engine shares this with runRound so a
-// minimized reproducer re-verifies under exactly the campaign's checks.
+// caller to stamp. The campaign engine runs every round and every
+// minimizer replay through it, so a minimized reproducer re-verifies
+// under exactly the campaign's checks.
 func CheckExtracted(base, lib *oracle.Library, mutated map[string]string, serial oracle.Options, chk MutantChecks) (violations []Violation) {
 	fail := func(invariant, detail string) {
 		violations = append(violations, Violation{Invariant: invariant, Detail: detail})

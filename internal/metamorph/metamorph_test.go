@@ -1,14 +1,15 @@
 package metamorph_test
 
 import (
+	"fmt"
 	"testing"
 
+	"policyoracle/internal/campaign"
 	"policyoracle/internal/corpus"
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/metamorph"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/secmodel"
-	"policyoracle/internal/telemetry"
 )
 
 // campaignParams sizes a generated corpus small enough for hundreds of
@@ -25,35 +26,50 @@ func campaignParams() gen.Params {
 	}
 }
 
+// runCampaign runs one invariant campaign through the campaign engine,
+// fails the test on any violation, and logs every triaged crasher with
+// its minimized reproducing trace.
+func runCampaign(t *testing.T, name string, sources map[string]string, opts campaign.Options) *campaign.Result {
+	t.Helper()
+	res, err := campaign.Run(name, sources, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if res.RawViolations != 0 {
+		t.Errorf("%s: %d invariant violations", name, res.RawViolations)
+	}
+	for _, c := range res.Crashers {
+		t.Logf("%s: crasher %s [%s] first round %d, seen %d, trace %v: %s",
+			name, c.Fingerprint, c.Invariant, c.FirstRound, c.Seen, c.Trace, c.Detail)
+	}
+	if res.Entries == 0 {
+		t.Fatalf("%s: no entry points extracted", name)
+	}
+	return res
+}
+
 // TestMetamorphicCampaignGeneratedCorpus is the tentpole invariant run:
 // 200+ seeded mutation rounds over the generated corpus, each asserting
 // the mutant diffs clean against its original, MUST ⊆ MAY everywhere,
 // export round-trips byte-identically, and (sampled) parallel extraction
-// matches serial byte-for-byte.
+// matches serial byte-for-byte. The uniform schedule keeps every mutator
+// equally likely, which is what the every-mutator-fires check measures.
 func TestMetamorphicCampaignGeneratedCorpus(t *testing.T) {
 	c := gen.Generate(campaignParams())
 	const roundsPerLib = 70 // 3 libs x 70 = 210 rounds total
 	applied := map[string]int{}
 	for _, lib := range []string{"jdk", "harmony", "classpath"} {
-		rep, err := metamorph.Run(lib, c.Sources[lib], metamorph.CampaignOptions{
+		res := runCampaign(t, lib, c.Sources[lib], campaign.Options{
 			Seed:      9000,
 			Rounds:    roundsPerLib,
 			Mutations: 8,
+			Uniform:   true,
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", lib, err)
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("%s: %s", lib, v)
-		}
-		if rep.Entries == 0 {
-			t.Fatalf("%s: no entry points extracted", lib)
-		}
-		for m, n := range rep.Applied {
+		for m, n := range res.Applied {
 			applied[m] += n
 		}
 		t.Logf("%s: %d rounds over %d entries in %v, rewrites %v",
-			lib, rep.Rounds, rep.Entries, rep.Elapsed.Round(1e6), rep.Applied)
+			lib, res.Rounds, res.Entries, res.Elapsed.Round(1e6), res.Applied)
 	}
 	// Every mutator in the catalog must have fired: a mutator that never
 	// finds a candidate is dead weight and tests nothing.
@@ -69,42 +85,47 @@ func TestMetamorphicCampaignGeneratedCorpus(t *testing.T) {
 // shape, with its own idioms (interfaces, inheritance, switch guards).
 func TestMetamorphicBuiltinCorpora(t *testing.T) {
 	for _, lib := range corpus.Libraries() {
-		rep, err := metamorph.Run(lib, corpus.Sources(lib), metamorph.CampaignOptions{
+		runCampaign(t, lib, corpus.Sources(lib), campaign.Options{
 			Seed:   1234,
 			Rounds: 12,
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", lib, err)
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("%s: %s", lib, v)
-		}
 	}
 }
 
 // TestMetamorphicSummaryCacheCampaign is the summary-cache leg of the
-// campaign: 25 rounds where every extraction — baseline, mutants, and
-// the parallel/incremental invariant re-extractions — shares one
+// invariant suite: 25 rounds where every extraction — baseline, mutants,
+// and the parallel/incremental invariant re-extractions — shares one
 // cross-library summary cache. Mutants change method bodies, so the
 // cache serves a mix of valid splices (untouched entries) and
 // invalidated pins every round; any unsound reuse surfaces as an
 // invariant (a)-(e) violation, since those all compare extraction
-// outputs byte-for-byte.
+// outputs byte-for-byte. The campaign engine gives each shard a private
+// cache, so this leg drives the invariant checker directly.
 func TestMetamorphicSummaryCacheCampaign(t *testing.T) {
-	c := gen.Generate(campaignParams())
+	src := gen.Generate(campaignParams()).Sources["jdk"]
 	opts := oracle.DefaultOptions()
 	opts.Summaries = oracle.NewSummaryCache(0)
-	rep, err := metamorph.Run("jdk", c.Sources["jdk"], metamorph.CampaignOptions{
-		Seed:      4321,
-		Rounds:    25,
-		Mutations: 8,
-		Oracle:    &opts,
-	})
+	base, err := oracle.LoadLibrary("jdk", src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range rep.Violations {
-		t.Errorf("summary-cache campaign: %s", v)
+	base.Extract(opts)
+	for r := 0; r < 25; r++ {
+		mutated, applied, err := metamorph.MutateSources(src, int64(4321+r), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := oracle.LoadLibrary(fmt.Sprintf("jdk+r%d", r), mutated)
+		if err != nil {
+			t.Fatalf("round %d: loading mutant after %v: %v", r, applied, err)
+		}
+		lib.Extract(opts)
+		sampled := r%8 == 0
+		chk := metamorph.MutantChecks{Parallel: sampled, Incremental: sampled}
+		for _, v := range metamorph.CheckExtracted(base, lib, mutated, opts, chk) {
+			v.Round, v.Mutators = r, applied
+			t.Errorf("summary-cache campaign: %s", v)
+		}
 	}
 	if hits, misses := opts.Summaries.Stats(); hits == 0 || misses == 0 {
 		t.Errorf("campaign exercised no cache mix: hits=%d misses=%d", hits, misses)
@@ -187,47 +208,20 @@ func TestMutateSourcesDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignMetrics checks the polora-fuzz telemetry wiring: rounds,
-// per-mutator rewrites, and round latency all land in the registry.
-func TestCampaignMetrics(t *testing.T) {
-	c := gen.Generate(campaignParams())
-	reg := telemetry.New()
-	m := telemetry.NewMetamorphMetrics(reg)
-	rep, err := metamorph.Run("jdk", c.Sources["jdk"], metamorph.CampaignOptions{
-		Seed: 5, Rounds: 4, Mutations: 6, Metrics: m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Rounds.Value(); got != 4 {
-		t.Errorf("rounds counter = %v, want 4", got)
-	}
-	if m.RoundDuration.Count() != 4 {
-		t.Errorf("round duration observations = %v, want 4", m.RoundDuration.Count())
-	}
-	total := 0.0
-	for _, mu := range metamorph.Mutators() {
-		total += m.Mutations.With(mu.Name).Value()
-	}
-	if want := 0; len(rep.Applied) > 0 && total == float64(want) {
-		t.Errorf("no mutation counters recorded despite %v", rep.Applied)
-	}
-}
-
 // TestCampaignRejectsUnsoundOptions pins the two semantic constraints
 // the mutator catalog depends on.
 func TestCampaignRejectsUnsoundOptions(t *testing.T) {
 	c := gen.Generate(campaignParams())
 	broad := oracle.DefaultOptions()
 	broad.Events = secmodel.BroadEvents
-	if _, err := metamorph.Run("jdk", c.Sources["jdk"], metamorph.CampaignOptions{
+	if _, err := campaign.NewEngine("jdk", c.Sources["jdk"], campaign.Options{
 		Rounds: 1, Oracle: &broad,
 	}); err == nil {
 		t.Error("broad-events campaign accepted; ParamAccess events are entry-frame relative")
 	}
 	depth := oracle.DefaultOptions()
 	depth.MaxDepth = 3
-	if _, err := metamorph.Run("jdk", c.Sources["jdk"], metamorph.CampaignOptions{
+	if _, err := campaign.NewEngine("jdk", c.Sources["jdk"], campaign.Options{
 		Rounds: 1, Oracle: &depth,
 	}); err == nil {
 		t.Error("bounded-depth campaign accepted; mutators add call frames")

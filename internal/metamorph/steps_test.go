@@ -83,35 +83,3 @@ func TestMutatorByName(t *testing.T) {
 		t.Error("MutatorByName accepted a bogus name")
 	}
 }
-
-// TestRunReportsAttempted pins the applied-vs-attempted split on the
-// classic runner: every mutator draw is counted, failed applications
-// included, and applied never exceeds attempted. Before the redraw fix
-// a mutator with no applicable site silently burned its draw without
-// being recorded, hiding schedule starvation.
-func TestRunReportsAttempted(t *testing.T) {
-	rep, err := metamorph.Run("jdk", corpus.Sources("jdk"), metamorph.CampaignOptions{
-		Seed: 77, Rounds: 6, Mutations: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Attempted) == 0 {
-		t.Fatal("report carries no attempted counts")
-	}
-	var attempted int
-	for m, n := range rep.Attempted {
-		attempted += n
-		if rep.Applied[m] > n {
-			t.Errorf("%s: applied %d > attempted %d", m, rep.Applied[m], n)
-		}
-	}
-	if attempted > 6*5 {
-		t.Errorf("attempted %d exceeds rounds x mutations = 30", attempted)
-	}
-	for m := range rep.Applied {
-		if rep.Attempted[m] == 0 {
-			t.Errorf("%s applied without an attempted count", m)
-		}
-	}
-}

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"policyoracle/internal/store"
 )
 
 // TimelineVersion is the drift-store schema version. Readers reject
@@ -131,7 +132,7 @@ func (t *timeline) append(e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("reconcile: encoding drift store: %w", err)
 	}
-	if err := writeAtomic(t.path, append(data, '\n')); err != nil {
+	if err := store.WriteAtomic(t.path, append(data, '\n')); err != nil {
 		return fmt.Errorf("reconcile: persisting drift store: %w", err)
 	}
 	t.entries = wire.Entries
@@ -163,26 +164,4 @@ func (t *timeline) pairs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// writeAtomic writes data via a temp file + fsync + rename, the same
-// discipline the store uses for its persisted state.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // DefaultVirtualNodes is the per-member point count used when New is
@@ -159,4 +160,15 @@ func (r *Ring) Without(m string) *Ring {
 		}
 	}
 	return New(rest, r.vnodes)
+}
+
+// BaseURL returns the HTTP base URL for a member string: members are
+// conventionally bare host:port, so "http://" is prepended unless the
+// member already starts with a URL scheme (text before the first "://"
+// that holds none of ":/.", which rules out host:port and path forms).
+func BaseURL(member string) string {
+	if i := strings.Index(member, "://"); i >= 0 && !strings.ContainsAny(member[:i], ":/.") {
+		return member
+	}
+	return "http://" + member
 }

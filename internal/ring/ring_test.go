@@ -166,3 +166,18 @@ func BenchmarkOwner(b *testing.B) {
 		_ = r.Owner(ks[rng.Intn(len(ks))])
 	}
 }
+
+func TestBaseURL(t *testing.T) {
+	for _, tc := range []struct{ member, want string }{
+		{"127.0.0.1:8075", "http://127.0.0.1:8075"},
+		{"localhost:8075", "http://localhost:8075"},
+		{"http://10.0.0.1:8075", "http://10.0.0.1:8075"},
+		{"https://replica.example:443", "https://replica.example:443"},
+		{"replica.example/polora", "http://replica.example/polora"},
+		{"localhost:8075/polora", "http://localhost:8075/polora"},
+	} {
+		if got := BaseURL(tc.member); got != tc.want {
+			t.Errorf("BaseURL(%q) = %q, want %q", tc.member, got, tc.want)
+		}
+	}
+}

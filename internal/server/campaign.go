@@ -192,19 +192,16 @@ func (s *Server) handleCampaignPost(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) runCampaignJob(j *campaignJob, e *campaign.Engine, shard int) {
 	res, err := e.RunShard(shard)
-	j.mu.Lock()
 	if err != nil {
+		j.mu.Lock()
 		j.status = campaign.StatusFailed
 		j.err = err.Error()
-	} else {
-		j.status = campaign.StatusDone
-		j.result = res
-	}
-	j.mu.Unlock()
-	if err != nil {
+		j.mu.Unlock()
 		s.log.Error("campaign shard failed", "job", j.id, "shard", shard, "err", err)
 		return
 	}
+	// Persist before the poll can report done, so a client that saw the
+	// result also finds it under campaigns/.
 	buf, merr := json.Marshal(res)
 	if merr == nil {
 		_, merr = s.st.SaveCampaign(j.id, append(buf, '\n'))
@@ -214,6 +211,10 @@ func (s *Server) runCampaignJob(j *campaignJob, e *campaign.Engine, shard int) {
 		// result from the poll either way.
 		s.log.Error("campaign shard persist failed", "job", j.id, "err", merr)
 	}
+	j.mu.Lock()
+	j.status = campaign.StatusDone
+	j.result = res
+	j.mu.Unlock()
 	s.log.Info("campaign shard done", "job", j.id, "shard", shard,
 		"rounds", res.Rounds, "keys", len(res.Keys), "crashers", len(res.Crashers))
 }

@@ -12,7 +12,7 @@ import (
 
 // The name index is the reconcile controller's registry, so a torn write
 // (partial JSON left behind by a crash mid-write, impossible under
-// writeAtomic but possible with older stores or external tampering) must
+// WriteAtomic but possible with older stores or external tampering) must
 // not erase it: readNames rebuilds from the bundles directory instead of
 // starting empty.
 func TestNamesTornWriteRecoversFromBundles(t *testing.T) {

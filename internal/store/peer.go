@@ -135,11 +135,7 @@ func (p *PeerBackend) Fetch(ctx context.Context, fp string) ([]byte, error) {
 
 // get performs one GET /v1/blob/{fp} against member.
 func (p *PeerBackend) get(ctx context.Context, member, fp string) ([]byte, int, error) {
-	base := member
-	if !hasURLScheme(base) {
-		base = "http://" + base
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/blob/"+fp, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ring.BaseURL(member)+"/v1/blob/"+fp, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -161,18 +157,4 @@ func (p *PeerBackend) get(ctx context.Context, member, fp string) ([]byte, int, 
 		return nil, 0, fmt.Errorf("peer blob exceeds %d bytes", maxPeerBlobBytes)
 	}
 	return blob, resp.StatusCode, nil
-}
-
-// hasURLScheme reports whether addr already carries a URL scheme, so
-// bare host:port member strings get "http://" prepended.
-func hasURLScheme(addr string) bool {
-	for i := 0; i < len(addr); i++ {
-		switch {
-		case addr[i] == ':':
-			return i+2 < len(addr) && addr[i+1] == '/' && addr[i+2] == '/'
-		case addr[i] == '/' || addr[i] == '.':
-			return false
-		}
-	}
-	return false
 }

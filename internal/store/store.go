@@ -240,7 +240,7 @@ func (s *Store) SaveCampaign(id string, result []byte) (string, error) {
 	// Atomic rename, not a plain write: a crash mid-save must leave
 	// either the previous complete result or none, never a truncated
 	// JSON document a postmortem reader would choke on.
-	if err := writeAtomic(p, result); err != nil {
+	if err := WriteAtomic(p, result); err != nil {
 		return "", fmt.Errorf("store: saving campaign %s: %w", id, err)
 	}
 	return p, nil
@@ -280,7 +280,7 @@ func (s *Store) Put(name string, sources map[string]string, w OptionsWire) (fp s
 	if err != nil {
 		return "", false, fmt.Errorf("store: %w", err)
 	}
-	if err := writeAtomic(path, data); err != nil {
+	if err := WriteAtomic(path, data); err != nil {
 		return "", false, fmt.Errorf("store: %w", err)
 	}
 	s.bundles.Add(1)
@@ -329,7 +329,7 @@ func (s *Store) setLatestFingerprint(name, fp string) error {
 	names[name] = fp
 	data, err := json.MarshalIndent(names, "", "  ")
 	if err == nil {
-		err = writeAtomic(s.namesPath(), data)
+		err = WriteAtomic(s.namesPath(), data)
 	}
 	if err != nil {
 		return fmt.Errorf("store: writing name index: %w", err)
@@ -390,7 +390,7 @@ func (s *Store) rebuildNames() map[string]string {
 	}
 	if len(names) > 0 {
 		if data, err := json.MarshalIndent(names, "", "  "); err == nil {
-			if err := writeAtomic(s.namesPath(), data); err != nil {
+			if err := WriteAtomic(s.namesPath(), data); err != nil {
 				s.log.Warn("store: persisting rebuilt name index failed", "err", err)
 			}
 		}
@@ -581,7 +581,7 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	}
 	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
 		"duration", elapsed, "bytes", len(blob))
-	if err := writeAtomic(path, blob); err != nil {
+	if err := WriteAtomic(path, blob); err != nil {
 		return nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
 	return blob, nil
@@ -607,7 +607,7 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, bool
 			s.log.Warn("store: backend returned corrupt blob", "backend", b.Name(), "fingerprint", fp, "err", err)
 			continue
 		}
-		if err := writeAtomic(path, blob); err != nil {
+		if err := WriteAtomic(path, blob); err != nil {
 			// Serving the validated bytes still beats re-extracting; the
 			// blob just won't be a disk hit next time.
 			s.log.Warn("store: persisting backend blob failed", "backend", b.Name(), "fingerprint", fp, "err", err)
@@ -652,7 +652,7 @@ func (s *Store) writeIncrementalState(lib *oracle.Library, fp string) {
 		snap.Policies = nil // the blob is persisted separately under policies/
 		var data []byte
 		if data, err = snap.Encode(); err == nil {
-			err = writeAtomic(s.depsPath(fp), data)
+			err = WriteAtomic(s.depsPath(fp), data)
 		}
 	}
 	if err != nil {
@@ -736,11 +736,14 @@ func (s *Store) CachedEntries() int {
 	return s.cache.len()
 }
 
-// writeAtomic writes data via a temp file + fsync + rename so readers
-// never see a partial blob, and a crash immediately after the rename
-// cannot leave an empty or truncated file behind it.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-")
+// WriteAtomic replaces path with data via a temp file + fsync + rename +
+// parent-directory fsync. Readers never see a partial file, a crash
+// right after the rename cannot leave an empty or truncated one behind
+// it, and once WriteAtomic returns nil the rename itself survives power
+// loss, so callers may expose the write as committed.
+func WriteAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
 	if err != nil {
 		return err
 	}
@@ -756,5 +759,13 @@ func writeAtomic(path string, data []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -174,7 +174,7 @@ func (s *Store) extractUpdate(ctx context.Context, fp, name string, sources map[
 	if err != nil {
 		return fmt.Errorf("store: bundle %s: %w", fp, err)
 	}
-	if err := writeAtomic(s.policyPath(fp), blob); err != nil {
+	if err := WriteAtomic(s.policyPath(fp), blob); err != nil {
 		return fmt.Errorf("store: persisting policies: %w", err)
 	}
 	s.writeIncrementalState(lib, fp)

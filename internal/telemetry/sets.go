@@ -167,38 +167,6 @@ func NewBatchMetrics(r *Registry) *BatchMetrics {
 	}
 }
 
-// MetamorphMetrics is the metamorphic-fuzzing instrument set, fed by
-// the internal/metamorph campaign runner behind `polora fuzz`.
-type MetamorphMetrics struct {
-	// Rounds counts completed mutation rounds:
-	// polora_fuzz_rounds_total.
-	Rounds *Counter
-	// Mutations counts successful rewrites by mutator:
-	// polora_fuzz_mutations_total{mutator}.
-	Mutations *CounterVec
-	// Violations counts invariant failures by invariant name:
-	// polora_fuzz_violations_total{invariant}.
-	Violations *CounterVec
-	// RoundDuration is wall time of one mutate+extract+check round:
-	// polora_fuzz_round_duration_seconds.
-	RoundDuration *Histogram
-}
-
-// NewMetamorphMetrics registers the fuzzing instrument set on r
-// (nil-safe).
-func NewMetamorphMetrics(r *Registry) *MetamorphMetrics {
-	return &MetamorphMetrics{
-		Rounds: r.Counter("polora_fuzz_rounds_total",
-			"Completed metamorphic mutation rounds."),
-		Mutations: r.CounterVec("polora_fuzz_mutations_total",
-			"Successful semantics-preserving rewrites by mutator.", "mutator"),
-		Violations: r.CounterVec("polora_fuzz_violations_total",
-			"Metamorphic invariant failures by invariant.", "invariant"),
-		RoundDuration: r.Histogram("polora_fuzz_round_duration_seconds",
-			"Wall time of one mutate+extract+check round.", DefBuckets),
-	}
-}
-
 // CampaignMetrics is the coverage-guided campaign instrument set, fed by
 // internal/campaign behind `polora fuzz` and polorad's /v1/campaign.
 type CampaignMetrics struct {
