@@ -29,6 +29,8 @@ func FuzzExportRoundTrip(f *testing.F) {
 		  {"kind":1,"key":"f","must":[],"may":["checkWrite/1"]}]}]}`,
 		`{"library":"bad","version":1,"entries":[{"entry":"e/0",
 		  "events":[{"kind":0,"key":"n/1","must":["nosuch/9"],"may":[]}]}]}`,
+		`{"library":"respell","version":1,"entries":[{"entry":"e/0",
+		  "events":[{"kind":0,"key":"n/1","must":["checkRead/1"],"may":["checkRead/1","checkRead/x"]}]}]}`,
 		`[1,2,3]`,
 		`{"library":"x","version":1,"entries":[{"entry":"e/0","events":[{"kind":-7,"key":""}]}]}`,
 	}

@@ -98,10 +98,31 @@ func setToWire(d *secmodel.Domain, s CheckSet) ([]string, error) {
 	return out, nil
 }
 
-func setFromWire(d *secmodel.Domain, names []string) (CheckSet, error) {
+// checkTokens resolves the check tokens of one import. A blob repeats a
+// few distinct name/arity tokens hundreds of times, so each is parsed by
+// checkFromWire once; a rejected token fails the import, so only
+// accepted ones are remembered.
+type checkTokens struct {
+	dom *secmodel.Domain
+	ids map[string]secmodel.CheckID
+}
+
+func (t *checkTokens) resolve(s string) (secmodel.CheckID, error) {
+	if id, ok := t.ids[s]; ok {
+		return id, nil
+	}
+	id, err := checkFromWire(t.dom, s)
+	if err != nil {
+		return 0, err
+	}
+	t.ids[s] = id
+	return id, nil
+}
+
+func (t *checkTokens) set(names []string) (CheckSet, error) {
 	var s CheckSet
 	for _, n := range names {
-		id, err := checkFromWire(d, n)
+		id, err := t.resolve(n)
 		if err != nil {
 			return 0, err
 		}
@@ -185,22 +206,23 @@ func ImportJSON(data []byte) (*ProgramPolicies, error) {
 	if dom != secmodel.SecurityManager() {
 		pp.Domain = dom.ID()
 	}
+	checks := &checkTokens{dom: dom, ids: make(map[string]secmodel.CheckID)}
 	for _, je := range in.Entries {
 		ep := NewEntryPolicy(je.Entry)
 		for _, jev := range je.Events {
 			ev := secmodel.Event{Kind: secmodel.EventKind(jev.Kind), Key: jev.Key}
 			evp := ep.EventPolicyFor(ev)
-			must, err := setFromWire(dom, jev.Must)
+			must, err := checks.set(jev.Must)
 			if err != nil {
 				return nil, err
 			}
-			may, err := setFromWire(dom, jev.May)
+			may, err := checks.set(jev.May)
 			if err != nil {
 				return nil, err
 			}
 			evp.Must, evp.May = must, may
 			for _, o := range jev.Origins {
-				id, err := checkFromWire(dom, o.Check)
+				id, err := checks.resolve(o.Check)
 				if err != nil {
 					return nil, err
 				}

@@ -75,6 +75,15 @@ func TestImportRejectsBadInput(t *testing.T) {
 			{"entry":"A.f()","events":[{"kind":1,"must":["checkBogus/1"],"may":[]}]}]}`,
 		"missing arity": `{"library":"x","version":1,"entries":[
 			{"entry":"A.f()","events":[{"kind":1,"must":["checkRead"],"may":[]}]}]}`,
+		// A token already resolved once must not vouch for a different
+		// spelling of the same check later in the document.
+		"valid then missing arity": `{"library":"x","version":1,"entries":[
+			{"entry":"A.f()","events":[{"kind":1,"must":["checkRead/1"],"may":["checkRead"]}]}]}`,
+		"valid then bad arity": `{"library":"x","version":1,"entries":[
+			{"entry":"A.f()","events":[{"kind":1,"must":["checkRead/1"],"may":["checkRead/x"]}]}]}`,
+		"valid then unknown arity in origins": `{"library":"x","version":1,"entries":[
+			{"entry":"A.f()","events":[{"kind":1,"must":["checkRead/1"],"may":["checkRead/1"],
+			 "origins":[{"check":"checkRead/9","methods":["A.f()"]}]}]}]}`,
 	}
 	for name, src := range cases {
 		if _, err := ImportJSON([]byte(src)); err == nil {

@@ -6,6 +6,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -298,20 +299,16 @@ type EventPolicy struct {
 	May   CheckSet
 	Paths PathSets
 	// Origins maps each check in May to the qualified signatures of the
-	// methods whose bodies invoke it on some path to this event.
-	Origins map[secmodel.CheckID]map[string]bool
+	// methods whose bodies invoke it on some path to this event, sorted
+	// and deduplicated. Nil until the first AddOrigin.
+	Origins map[secmodel.CheckID][]string
 
 	combined bool
 }
 
 // NewEventPolicy returns an empty policy for ev.
 func NewEventPolicy(ev secmodel.Event) *EventPolicy {
-	return &EventPolicy{
-		Event:   ev,
-		Must:    Full,
-		Paths:   PathSets{},
-		Origins: make(map[secmodel.CheckID]map[string]bool),
-	}
+	return &EventPolicy{Event: ev, Must: Full}
 }
 
 // AddOccurrence combines one occurrence of the event into the policy:
@@ -330,22 +327,19 @@ func (ep *EventPolicy) AddOccurrence(must, may CheckSet, paths PathSets) {
 // AddOrigin records that check id is invoked in method sig on some path to
 // this event.
 func (ep *EventPolicy) AddOrigin(id secmodel.CheckID, sig string) {
-	m := ep.Origins[id]
-	if m == nil {
-		m = make(map[string]bool)
-		ep.Origins[id] = m
+	if ep.Origins == nil {
+		ep.Origins = make(map[secmodel.CheckID][]string)
 	}
-	m[sig] = true
+	sigs := ep.Origins[id]
+	if i, found := slices.BinarySearch(sigs, sig); !found {
+		ep.Origins[id] = slices.Insert(sigs, i, sig)
+	}
 }
 
-// OriginsOf returns the sorted origin method signatures for a check.
+// OriginsOf returns a copy of the sorted origin method signatures for a
+// check.
 func (ep *EventPolicy) OriginsOf(id secmodel.CheckID) []string {
-	var out []string
-	for sig := range ep.Origins[id] {
-		out = append(out, sig)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(ep.Origins[id])
 }
 
 // HasChecks reports whether any check may precede the event.

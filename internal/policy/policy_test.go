@@ -222,8 +222,13 @@ func TestEventPolicyOrigins(t *testing.T) {
 	ep.AddOrigin(read, "b.m()")
 	ep.AddOrigin(read, "a.m()")
 	ep.AddOrigin(read, "b.m()")
-	if got := ep.OriginsOf(read); len(got) != 2 || got[0] != "a.m()" {
+	got := ep.OriginsOf(read)
+	if len(got) != 2 || got[0] != "a.m()" || got[1] != "b.m()" {
 		t.Errorf("origins = %v", got)
+	}
+	got[0] = "z.m()" // a copy: callers cannot reorder a shared policy
+	if again := ep.OriginsOf(read); again[0] != "a.m()" {
+		t.Errorf("OriginsOf aliases the stored list: %v", again)
 	}
 }
 

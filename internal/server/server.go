@@ -390,8 +390,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if want != nil {
-		// The blob's domain header is its first field; decode just that
-		// rather than re-importing the whole policy set.
+		// Only the domain header matters here. encoding/json still scans
+		// the whole blob, but skips building the policy set.
 		var hdr struct {
 			Domain string `json:"domain"`
 		}

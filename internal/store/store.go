@@ -26,7 +26,10 @@
 //
 // Blobs read back from disk are validated by re-importing them; a
 // corrupted blob is discarded and re-extracted from its bundle, so the
-// store self-heals from partial writes or bit rot.
+// store self-heals from partial writes or bit rot. The validated set goes
+// to the readers of that load, and an LRU entry keeps the set decoded
+// from its blob once the blob has been decoded a second time, so warm
+// diffs of a hot fingerprint do not decode it again.
 //
 // Reads take a context: a caller that goes away (client disconnect,
 // server drain) stops waiting immediately, and when the last waiter on
@@ -73,7 +76,9 @@ type Config struct {
 	Dir string
 	// CacheEntries caps the in-memory blob LRU: 0 means the default of
 	// 128, and a negative value disables the in-memory cache entirely
-	// (every read is served from disk or extraction).
+	// (every read is served from disk or extraction). An entry holds its
+	// blob and, once the blob has been decoded twice, its decoded policy
+	// set (about 1.7× the blob).
 	CacheEntries int
 	// Parallel is the oracle worker count per extraction
 	// (oracle.Options.Parallel; <= 0 means GOMAXPROCS).
@@ -127,6 +132,9 @@ type Stats struct {
 	// BackendHits served a blob from a configured backend (for a peer
 	// backend: fetched from another replica instead of extracting).
 	BackendHits uint64 `json:"backendHits"`
+	// Decodes counts every policy.ImportJSON the store runs: blob
+	// validations and decodes for readers the LRU had no set for alike.
+	Decodes uint64 `json:"decodes"`
 }
 
 // Store is a content-addressed policy store. It is safe for concurrent
@@ -158,7 +166,7 @@ type Store struct {
 	memHits, diskHits, misses, coalesced atomic.Uint64
 	extractions, corruptBlobs            atomic.Uint64
 	bundles, diffs, evictions            atomic.Uint64
-	backendHits                          atomic.Uint64
+	backendHits, decodes                 atomic.Uint64
 
 	// extract produces the policy blob for a bundle; tests may stub it.
 	extract func(context.Context, *Bundle) ([]byte, error)
@@ -173,6 +181,7 @@ type flightCall struct {
 	cancel  context.CancelFunc
 	waiters int // guarded by Store.mu
 	blob    []byte
+	set     *policy.ProgramPolicies // decoded when the load validated blob
 	err     error
 }
 
@@ -434,15 +443,23 @@ func (s *Store) Policies(fp string) ([]byte, error) {
 // ctx.Err() immediately; if the caller was the last one waiting on an
 // in-flight extraction, the extraction is cancelled too.
 func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) {
+	blob, _, err := s.read(ctx, fp)
+	return blob, err
+}
+
+// read returns fp's blob and, when one is at hand, the policy set decoded
+// from it: the LRU entry's retained set, or the set a disk or backend
+// load decoded to validate the blob. The set is nil otherwise.
+func (s *Store) read(ctx context.Context, fp string) ([]byte, *policy.ProgramPolicies, error) {
 	if !oracle.IsFingerprint(fp) {
-		return nil, fmt.Errorf("%w: %q", ErrMalformed, fp)
+		return nil, nil, fmt.Errorf("%w: %q", ErrMalformed, fp)
 	}
 	s.mu.Lock()
-	if blob, ok := s.cache.get(fp); ok {
+	if blob, set, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
 		s.memHits.Add(1)
 		s.tm.CacheHits.With("mem").Inc()
-		return blob, nil
+		return blob, set, nil
 	}
 	if c, ok := s.flight[fp]; ok {
 		c.waiters++
@@ -467,13 +484,13 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 
 	go func() {
 		defer cancel()
-		c.blob, c.err = s.loadOrExtract(cctx, fp, localOnly)
+		c.blob, c.set, c.err = s.loadOrExtract(cctx, fp, localOnly)
 		s.mu.Lock()
 		if s.flight[fp] == c {
 			delete(s.flight, fp)
 		}
 		if c.err == nil {
-			s.noteEvictions(s.cache.add(fp, c.blob))
+			s.noteEvictions(s.cache.add(fp, c.blob, c.set != nil))
 		}
 		s.mu.Unlock()
 		close(c.done)
@@ -485,10 +502,10 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 // An abandoning waiter drops its reference; the last one out cancels the
 // extraction and unregisters the call so later requests start fresh
 // rather than inheriting a cancelled result.
-func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, error) {
+func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, *policy.ProgramPolicies, error) {
 	select {
 	case <-c.done:
-		return c.blob, c.err
+		return c.blob, c.set, c.err
 	case <-ctx.Done():
 		// When the result and the cancellation race, prefer the result:
 		// callers on a non-cancellable context (the Policies/PolicySet/Diff
@@ -497,7 +514,7 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, err
 		// refcount the completion path has already settled.
 		select {
 		case <-c.done:
-			return c.blob, c.err
+			return c.blob, c.set, c.err
 		default:
 		}
 		s.mu.Lock()
@@ -511,7 +528,7 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, err
 			c.cancel()
 			s.log.Info("store: extraction abandoned", "fingerprint", fp, "cause", context.Cause(ctx))
 		}
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 }
 
@@ -527,14 +544,17 @@ func (s *Store) noteEvictions(n int) {
 
 // loadOrExtract serves one fingerprint from disk, then the configured
 // backends (unless the read is local-only), falling back to extraction.
+// A disk or backend blob comes with the set its validation decoded; an
+// extracted one comes without, so what readers decode is always the
+// persisted bytes, never the extractor's in-memory policies.
 // Exactly one goroutine runs this per in-flight fingerprint.
-func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([]byte, error) {
+func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([]byte, *policy.ProgramPolicies, error) {
 	path := s.policyPath(fp)
 	if blob, err := os.ReadFile(path); err == nil {
-		if _, err := policy.ImportJSON(blob); err == nil {
+		if set, err := s.decode(blob); err == nil {
 			s.diskHits.Add(1)
 			s.tm.CacheHits.With("disk").Inc()
-			return blob, nil
+			return blob, set, nil
 		}
 		s.corruptBlobs.Add(1)
 		s.tm.CorruptBlobs.Inc()
@@ -543,13 +563,13 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	s.misses.Add(1)
 	s.tm.CacheMisses.Inc()
 	if !localOnly {
-		if blob, ok := s.fromBackends(ctx, fp, path); ok {
-			return blob, nil
+		if blob, set, ok := s.fromBackends(ctx, fp, path); ok {
+			return blob, set, nil
 		}
 	}
 	b, err := s.Bundle(fp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	queued := time.Now()
 	select {
@@ -560,11 +580,11 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 		// counts one sample per extraction slot granted, not per caller.
 		s.tm.QueueWait.ObserveDuration(time.Since(queued))
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.extractions.Add(1)
 	s.tm.Extractions.Inc()
@@ -577,14 +597,14 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 		s.tm.ExtractFailures.Inc()
 		s.log.Warn("store: extraction failed", "fingerprint", fp, "library", b.Name,
 			"duration", elapsed, "err", err)
-		return nil, err
+		return nil, nil, err
 	}
 	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
 		"duration", elapsed, "bytes", len(blob))
 	if err := WriteAtomic(path, blob); err != nil {
-		return nil, fmt.Errorf("store: persisting policies: %w", err)
+		return nil, nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
-	return blob, nil
+	return blob, nil, nil
 }
 
 // fromBackends asks each configured backend for fp's blob, in order.
@@ -592,7 +612,7 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 // the next read of fp is a disk hit; a corrupt response is counted and
 // skipped. ok is false when no backend could supply a valid blob — the
 // caller falls back to local extraction.
-func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, bool) {
+func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, *policy.ProgramPolicies, bool) {
 	for _, b := range s.backends {
 		blob, err := b.Fetch(ctx, fp)
 		if err != nil {
@@ -601,7 +621,8 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, bool
 			}
 			continue
 		}
-		if _, err := policy.ImportJSON(blob); err != nil {
+		set, err := s.decode(blob)
+		if err != nil {
 			s.corruptBlobs.Add(1)
 			s.tm.CorruptBlobs.Inc()
 			s.log.Warn("store: backend returned corrupt blob", "backend", b.Name(), "fingerprint", fp, "err", err)
@@ -614,9 +635,9 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, bool
 		}
 		s.backendHits.Add(1)
 		s.tm.CacheHits.With("backend").Inc()
-		return blob, true
+		return blob, set, true
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 func (s *Store) extractBundle(ctx context.Context, b *Bundle) ([]byte, error) {
@@ -660,17 +681,35 @@ func (s *Store) writeIncrementalState(lib *oracle.Library, fp string) {
 	}
 }
 
-// PolicySet returns the parsed policies for a fingerprint.
+// PolicySet returns the parsed policies for a fingerprint with a
+// background context. The set is shared and read-only, as for
+// PolicySetContext.
 func (s *Store) PolicySet(fp string) (*policy.ProgramPolicies, error) {
 	return s.PolicySetContext(context.Background(), fp)
 }
 
-// PolicySetContext returns the parsed policies for a fingerprint.
+// PolicySetContext returns the parsed policies for a fingerprint: the set
+// decoded from exactly the blob PoliciesContext serves. The set may be
+// shared with other readers and retained by the LRU, so callers must not
+// mutate it.
 func (s *Store) PolicySetContext(ctx context.Context, fp string) (*policy.ProgramPolicies, error) {
-	blob, err := s.PoliciesContext(ctx, fp)
-	if err != nil {
+	blob, set, err := s.read(ctx, fp)
+	if err != nil || set != nil {
+		return set, err
+	}
+	if set, err = s.decode(blob); err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	s.cache.noteDecode(fp, blob, set)
+	s.mu.Unlock()
+	return set, nil
+}
+
+// decode imports a policy blob, counting the decode.
+func (s *Store) decode(blob []byte) (*policy.ProgramPolicies, error) {
+	s.decodes.Add(1)
+	s.tm.Decodes.Inc()
 	return policy.ImportJSON(blob)
 }
 
@@ -726,6 +765,7 @@ func (s *Store) Stats() Stats {
 		Diffs:        s.diffs.Load(),
 		Evictions:    s.evictions.Load(),
 		BackendHits:  s.backendHits.Load(),
+		Decodes:      s.decodes.Load(),
 	}
 }
 

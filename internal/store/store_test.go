@@ -453,6 +453,9 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := s.Policies(fpA); err != nil { // evicted by fpB: disk hit
 		t.Fatal(err)
 	}
+	if got := s.Stats().Decodes; got != 3 {
+		t.Errorf("Stats.Decodes = %d, want 3", got)
+	}
 	text := reg.Text()
 	for _, want := range []string{
 		"polorad_store_bundles_created_total 2",
@@ -462,6 +465,8 @@ func TestStoreMetrics(t *testing.T) {
 		`polorad_store_cache_hits_total{tier="disk"} 1`,
 		"polorad_store_cache_evictions_total 2",
 		"polorad_store_cached_blobs 1",
+		// Diff decodes both extracted blobs; the disk hit validates fpA.
+		"polorad_store_policy_decodes_total 3",
 		"polorad_store_extract_queue_wait_seconds_count 2",
 		"polorad_store_extract_duration_seconds_count 2",
 		`policyoracle_extractions_total{domain="securitymanager"} 2`,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"policyoracle/internal/oracle"
-	"policyoracle/internal/policy"
 )
 
 // ErrInvalid marks request-validation failures (empty name or sources,
@@ -54,7 +53,7 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 	}
 	res := &UpdateResult{Fingerprint: fp, Created: created}
 	if blob, err := os.ReadFile(s.policyPath(fp)); err == nil {
-		if pp, err := policy.ImportJSON(blob); err == nil {
+		if pp, err := s.decode(blob); err == nil {
 			// Content already extracted: nothing to re-analyze.
 			res.Entries = len(pp.Entries)
 			res.Reused = res.Entries
@@ -179,7 +178,7 @@ func (s *Store) extractUpdate(ctx context.Context, fp, name string, sources map[
 	}
 	s.writeIncrementalState(lib, fp)
 	s.mu.Lock()
-	s.noteEvictions(s.cache.add(fp, blob))
+	s.noteEvictions(s.cache.add(fp, blob, false))
 	s.mu.Unlock()
 	s.log.Info("store: update extraction done", "fingerprint", fp, "library", name,
 		"duration", elapsed, "entries", res.Entries, "reused", res.Reused,

@@ -96,7 +96,7 @@ func TestWaitPrefersCompletedResult(t *testing.T) {
 	close(c.done)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // both c.done and ctx.Done() are ready
-	blob, err := s.wait(ctx, "deadbeef", c)
+	blob, _, err := s.wait(ctx, "deadbeef", c)
 	if err != nil || string(blob) != "blob" {
 		t.Errorf("wait with done+cancelled = (%q, %v), want the result", blob, err)
 	}

@@ -73,6 +73,9 @@ type StoreMetrics struct {
 	// CorruptBlobs counts persisted blobs that failed validation and
 	// were re-extracted.
 	CorruptBlobs *Counter
+	// Decodes counts policy-blob imports the store ran, validations and
+	// reader decodes alike: polorad_store_policy_decodes_total.
+	Decodes *Counter
 	// Bundles counts newly created bundle uploads; Diffs counts diff
 	// reports computed.
 	Bundles *Counter
@@ -104,6 +107,8 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 			"Bundle extractions that failed or were cancelled."),
 		CorruptBlobs: r.Counter("polorad_store_corrupt_blobs_total",
 			"Persisted blobs that failed validation and were re-extracted."),
+		Decodes: r.Counter("polorad_store_policy_decodes_total",
+			"Policy blobs decoded, to validate a read or to serve a reader without a cached set."),
 		Bundles: r.Counter("polorad_store_bundles_created_total",
 			"Newly created bundle uploads."),
 		Diffs: r.Counter("polorad_store_diffs_total",
