@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"policyoracle/internal/policy"
-	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
-	"policyoracle/internal/types"
 )
 
 // This file implements incremental extraction: given a previous
@@ -16,22 +13,26 @@ import (
 // Library), a changed source bundle is re-analyzed only for the entry
 // points whose dependency set intersects the changed methods; every
 // other entry's policy is spliced from the previous extraction
-// unchanged. Because per-entry analysis is deterministic and the policy
-// wire format is a byte fixed point under export/import, the spliced
-// result is byte-identical to a from-scratch Extract of the new sources
-// — asserted by the oracle tests and the metamorph incremental
-// invariant.
+// unchanged. The previous extraction becomes a private SummaryCache
+// seed, so the splice runs through the same loop and the same validity
+// rule as the process-wide cache (see Library.extract). Because
+// per-entry analysis is deterministic and the policy wire format is a
+// byte fixed point under export/import, the spliced result is
+// byte-identical to a from-scratch Extract of the new sources — asserted
+// by the oracle tests and the metamorph incremental invariant.
 
 // ErrNoPrevious reports an incremental extraction whose previous library
 // carries no extracted policies to splice from.
 var ErrNoPrevious = errors.New("oracle: previous library has no extracted policies to seed an incremental extraction")
 
 // IncrementalStats describes how much work one incremental extraction
-// reused versus redid.
+// reused versus redid, as the extraction measured it.
 type IncrementalStats struct {
-	// Entries is the number of API entry points in the new program;
-	// Reused of them were spliced from the previous extraction and
-	// Reanalyzed were run through the full MAY/MUST analyses.
+	// Entries is the number of API entry points in the new program.
+	// Reanalyzed of them went through the MAY/MUST analyzers; the other
+	// Reused = Entries - Reanalyzed were spliced, from the previous
+	// extraction or, through Options.Summaries, from another library
+	// already extracted in the process.
 	Entries    int
 	Reused     int
 	Reanalyzed int
@@ -71,81 +72,23 @@ func ExtractIncrementalContext(ctx context.Context, prev *Library, sources map[s
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &IncrementalStats{}
 	hashes := lib.methodHashes(opts.Domain)
-	st.HashedMethods = len(hashes)
-
-	if prev.ExtractedOpts != extractKey(opts) || len(prev.MethodHashes) == 0 || len(prev.EntryDeps) == 0 {
+	st := &IncrementalStats{HashedMethods: len(hashes), ChangedMethods: countChanged(prev.MethodHashes, hashes)}
+	var seed *SummaryCache
+	if key := extractKey(opts); prev.ExtractedOpts == key && len(prev.MethodHashes) > 0 && len(prev.EntryDeps) > 0 {
+		seed = seedFrom(prev, key)
+	} else {
 		// The previous extraction cannot prove anything about this one;
 		// rebuild from scratch rather than guess.
 		st.Full = true
-		if err := lib.ExtractContext(ctx, opts); err != nil {
-			return nil, nil, err
-		}
-		st.Entries = len(lib.Policies.Entries)
-		st.Reanalyzed = st.Entries
-		st.ChangedMethods = countChanged(prev.MethodHashes, hashes)
-		observeIncremental(opts.Telemetry, st, lib.EntryDeps)
-		return lib, st, nil
 	}
-	st.ChangedMethods = countChanged(prev.MethodHashes, hashes)
-
-	if tm := opts.Telemetry; tm != nil {
-		tm.Extractions.With(opts.Domain.ID()).Inc()
+	if st.Reanalyzed, err = lib.extract(ctx, opts, seed); err != nil {
+		return nil, nil, err
 	}
-	entries := lib.EntryPoints()
-	st.Entries = len(entries)
-	pp := policy.NewProgramPolicies(lib.Name)
-	if opts.Domain != secmodel.SecurityManager() {
-		pp.Domain = opts.Domain.ID()
-	}
-	deps := make(map[string][]string, len(entries))
-	var fresh []*types.Method
-	for _, m := range entries {
-		sig := m.Qualified()
-		if prevEP := prev.Policies.Entries[sig]; prevEP != nil && reusableEntry(prev, hashes, sig) {
-			pp.Entries[sig] = prevEP
-			deps[sig] = prev.EntryDeps[sig]
-			st.Reused++
-			continue
-		}
-		fresh = append(fresh, m)
-	}
-	st.Reanalyzed = len(fresh)
-	if len(fresh) > 0 {
-		fdeps, err := lib.extractEntries(ctx, opts, fresh, pp)
-		if err != nil {
-			return nil, nil, err
-		}
-		for sig, d := range fdeps {
-			deps[sig] = d
-		}
-	}
-	lib.Policies = pp
-	lib.EntryDeps = deps
-	lib.MethodHashes = hashes
-	lib.ExtractedOpts = extractKey(opts)
-	observeIncremental(opts.Telemetry, st, deps)
+	st.Entries = len(lib.Policies.Entries)
+	st.Reused = st.Entries - st.Reanalyzed
+	observeIncremental(opts.Telemetry, st, lib.EntryDeps)
 	return lib, st, nil
-}
-
-// reusableEntry reports whether sig's previous policy can be spliced:
-// every method in its previous dependency set must exist in the new
-// program with an identical hash. A method that disappeared, changed, or
-// was never recorded forces re-analysis.
-func reusableEntry(prev *Library, hashes map[string]string, sig string) bool {
-	ds := prev.EntryDeps[sig]
-	if len(ds) == 0 {
-		return false
-	}
-	for _, d := range ds {
-		ph, okPrev := prev.MethodHashes[d]
-		nh, okNew := hashes[d]
-		if !okPrev || !okNew || ph != nh {
-			return false
-		}
-	}
-	return true
 }
 
 func countChanged(prev, cur map[string]string) int {

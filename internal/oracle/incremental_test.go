@@ -177,6 +177,50 @@ func TestIncrementalSingleMethodEdit(t *testing.T) {
 	if rep := diff.Compare(prev.Policies, inc.Policies); len(rep.Diffs) == 0 {
 		t.Error("semantic edit produced no differences against the base")
 	}
+
+	// When opts.Summaries already holds the edited library, extracted
+	// under another name, the changed entry is spliced from it: the
+	// analyzers run nothing, and the stats report what they ran.
+	opts.Summaries = NewSummaryCache(0)
+	extractClean(t, "fork", edited, opts)
+	opts.Telemetry = telemetry.NewExtractMetrics(telemetry.New())
+	cached, st, err := ExtractIncremental(prev, edited, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"may", "must"} {
+		if n := opts.Telemetry.EntryPoints.With(mode, secmodel.DefaultDomainID).Value(); n != float64(st.Reanalyzed) {
+			t.Errorf("with a warm summary cache the analyzer ran %v %s entries, stats say %d", n, mode, st.Reanalyzed)
+		}
+	}
+	if st.Reanalyzed != 0 || st.Reused != st.Entries {
+		t.Errorf("stats = %+v, want every entry reused", st)
+	}
+	if !bytes.Equal(exportBytes(t, cached), exportBytes(t, clean)) {
+		t.Error("summary-cache-spliced export differs from from-scratch export")
+	}
+}
+
+// A snapshot can lack an entry's dependency set. Such an entry has
+// nothing to validate a splice against, so it is re-analyzed even though
+// prev holds a policy for it.
+func TestIncrementalEntryWithoutDepsIsReanalyzed(t *testing.T) {
+	prev := extractClean(t, "lib", twoClassSources(), DefaultOptions())
+	delete(prev.EntryDeps, "api.B.doB(String)")
+
+	edited := twoClassSources()
+	edited["b.mj"] = classBMJv2
+	inc, st, err := ExtractIncremental(prev, edited, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Full || st.Reanalyzed != 1 || st.Reused != 3 {
+		t.Errorf("stats = %+v, want 1 of 4 re-analyzed incrementally", st)
+	}
+	clean := extractClean(t, "lib", edited, DefaultOptions())
+	if !bytes.Equal(exportBytes(t, inc), exportBytes(t, clean)) {
+		t.Error("an entry without dependencies was spliced from the stale revision")
+	}
 }
 
 func TestIncrementalSnapshotRoundTrip(t *testing.T) {

@@ -66,10 +66,11 @@ type Options struct {
 	// Summaries, when non-nil, is a process-wide cross-library cache of
 	// per-entry results: entries whose full dependency cone hashes
 	// identically to a previous extraction under the same options are
-	// spliced from the cache instead of re-analyzed. Like Telemetry it is
+	// spliced from the cache instead of re-analyzed. An incremental
+	// extraction asks it after the previous revision, and an entry it
+	// splices counts as reused in IncrementalStats. Like Telemetry it is
 	// execution strategy — never part of the fingerprint — and cannot
-	// perturb the extracted policy bytes (cache validity is the
-	// incremental-extraction soundness argument, see SummaryCache).
+	// perturb the extracted policy bytes (see SummaryCache).
 	Summaries *SummaryCache
 }
 
@@ -106,8 +107,9 @@ type Library struct {
 
 	// NCLoC is the number of non-comment, non-blank source lines.
 	NCLoC int
-	// Extraction statistics and timings, per mode. After an incremental
-	// extraction they describe only the re-analyzed entry subset.
+	// Extraction statistics and timings, per mode. They describe only
+	// the entries the last extraction ran through the analyzers, not
+	// those it spliced.
 	MayStats, MustStats analysis.Stats
 	MayTime, MustTime   time.Duration
 	Diags               *lang.Diagnostics
@@ -239,71 +241,64 @@ func (l *Library) Extract(opts Options) {
 // partial policy set). Cancellation is observed between entry-point
 // analyses, so it takes effect within one entry analysis at worst.
 func (l *Library) ExtractContext(ctx context.Context, opts Options) error {
-	opts = opts.Normalize()
+	_, err := l.extract(ctx, opts.Normalize(), nil)
+	return err
+}
+
+// publish installs one completed extraction on the library: the policies
+// plus the incremental-extraction state derived from them.
+func (l *Library) publish(pp *policy.ProgramPolicies, deps map[string][]string, hashes map[string]string, key string) {
+	l.Policies = pp
+	l.EntryDeps = deps
+	l.MethodHashes = hashes
+	l.ExtractedOpts = key
+}
+
+// extract is the one extraction routine behind ExtractContext and
+// ExtractIncrementalContext. Every entry point whose dependencies all
+// hash as they did when a cached policy was extracted is spliced from
+// that policy, asking seed (the previous revision of this library; nil
+// for none) first and opts.Summaries second; only the entries neither
+// proves unchanged reach the analyzers, and extract returns how many
+// that was. opts must already be normalized. The library's per-mode
+// stats and timings are overwritten and describe exactly the analyzed
+// entries.
+func (l *Library) extract(ctx context.Context, opts Options, seed *SummaryCache) (int, error) {
+	modes := opts.Modes
+	workers := opts.Parallel
 	if tm := opts.Telemetry; tm != nil {
 		tm.Extractions.With(opts.Domain.ID()).Inc()
+		tm.Workers.Set(float64(workers))
 	}
 	pp := policy.NewProgramPolicies(l.Name)
 	if opts.Domain != secmodel.SecurityManager() {
 		pp.Domain = opts.Domain.ID()
 	}
-	deps, err := l.extractEntries(ctx, opts, l.EntryPoints(), pp)
-	if err != nil {
-		return err
-	}
-	l.publish(pp, deps, opts)
-	return nil
-}
-
-// publish installs one completed extraction on the library: the policies
-// plus the incremental-extraction state derived from them.
-func (l *Library) publish(pp *policy.ProgramPolicies, deps map[string][]string, opts Options) {
-	l.Policies = pp
-	l.EntryDeps = deps
-	l.MethodHashes = l.methodHashes(opts.Domain)
-	l.ExtractedOpts = extractKey(opts)
-}
-
-// extractEntries runs the per-mode analyses for the given entry points,
-// writing the merged policies into pp and returning each entry's
-// dependency set (the MAY/MUST union). opts must already be normalized.
-// The library's per-mode stats and timings are overwritten and describe
-// exactly this run, so after an incremental extraction they cover only
-// the re-analyzed subset.
-func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*types.Method, pp *policy.ProgramPolicies) (map[string][]string, error) {
-	modes := opts.Modes
-	workers := opts.Parallel
-	if tm := opts.Telemetry; tm != nil {
-		tm.Workers.Set(float64(workers))
-	}
+	entries := l.EntryPoints()
 	deps := make(map[string][]string, len(entries))
+	key := extractKey(opts)
+	hashes := l.methodHashes(opts.Domain)
 
-	// Summary-cache splice: entries whose dependency cone is pinned in the
-	// cache skip analysis entirely; only the remainder reaches the
-	// analyzers. extractKey and the hash table are only computed when a
-	// cache is attached.
-	analyzed := entries
-	var sumKey string
-	var sumHashes map[string]string
-	if opts.Summaries != nil {
-		sumKey = extractKey(opts)
-		sumHashes = l.methodHashes(opts.Domain)
-		analyzed = make([]*types.Method, 0, len(entries))
-		hits := 0
-		for _, m := range entries {
-			sig := m.Qualified()
-			if ep, d, ok := opts.Summaries.lookup(sumKey, sig, sumHashes); ok {
-				pp.Entries[sig] = ep
-				deps[sig] = d
+	analyzed := make([]*types.Method, 0, len(entries))
+	hits := 0
+	for _, m := range entries {
+		sig := m.Qualified()
+		ep, d, ok := seed.lookup(key, sig, hashes)
+		if !ok {
+			if ep, d, ok = opts.Summaries.lookup(key, sig, hashes); ok {
 				hits++
-			} else {
-				analyzed = append(analyzed, m)
 			}
 		}
-		if tm := opts.Telemetry; tm != nil {
-			tm.SummaryCacheHits.With(opts.Domain.ID()).Add(float64(hits))
-			tm.SummaryCacheMisses.With(opts.Domain.ID()).Add(float64(len(analyzed)))
+		if ok {
+			pp.Entries[sig] = ep
+			deps[sig] = d
+		} else {
+			analyzed = append(analyzed, m)
 		}
+	}
+	if tm := opts.Telemetry; tm != nil && opts.Summaries != nil {
+		tm.SummaryCacheHits.With(opts.Domain.ID()).Add(float64(hits))
+		tm.SummaryCacheMisses.With(opts.Domain.ID()).Add(float64(len(analyzed)))
 	}
 
 	results := make(map[analysis.Mode]map[string]*analysis.EntryResult, len(modes))
@@ -363,7 +358,7 @@ func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*t
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Merge per-mode results into combined entry policies.
@@ -418,11 +413,10 @@ func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*t
 		}
 		pp.Entries[sig] = ep
 		deps[sig] = mergeDeps(sig, mayRes[sig], mustRes[sig])
-		if opts.Summaries != nil {
-			opts.Summaries.insert(sumKey, sig, deps[sig], sumHashes, ep)
-		}
+		opts.Summaries.insert(key, sig, deps[sig], hashes, ep)
 	}
-	return deps, nil
+	l.publish(pp, deps, hashes, key)
+	return len(analyzed), nil
 }
 
 // mergeDeps unions the per-mode dependency sets of one entry. The sets

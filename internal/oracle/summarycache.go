@@ -6,18 +6,19 @@ import (
 	"policyoracle/internal/policy"
 )
 
-// SummaryCache is a process-wide, cross-library cache of per-entry
-// extraction results. It generalizes the incremental-extraction argument
-// (see reusableEntry) from "previous version of this library" to "any
-// library extracted in this process": an entry-point policy depends only
-// on the extraction options and the IR of the methods its analysis
-// visited, so when a target library presents an entry whose entire
-// dependency cone hashes identically to a cached extraction, the cached
-// policy is byte-identical to what a fresh analysis would produce and can
-// be spliced in without running the analyzer.
+// SummaryCache is a cache of per-entry extraction results and the one
+// rule that decides when a result may be reused: an entry-point policy
+// depends only on the extraction options and the IR of the methods its
+// analysis visited, so when a target library presents an entry whose
+// entire dependency cone hashes identically to a cached extraction, the
+// cached policy is byte-identical to what a fresh analysis would produce
+// and can be spliced in without running the analyzer.
 //
-// Forks and vendored copies of one API implementation share most method
-// bodies verbatim, which is exactly the situation the paper's
+// Extraction asks two caches in turn: the private seed
+// ExtractIncremental fills with exactly the previous revision's entries,
+// then the process-wide, cross-library Options.Summaries. Forks and
+// vendored copies of one API implementation share most method bodies
+// verbatim, which is exactly the situation the paper's
 // multi-implementation oracle creates: every library of a comparison is
 // loaded into one process and extracted under one option set.
 //
@@ -73,6 +74,18 @@ func NewSummaryCache(maxEntries int) *SummaryCache {
 	}
 }
 
+// seedFrom returns a private cache holding exactly prev's entries under
+// the option key, pinned to the hashes they were extracted under and
+// sized so that seeding never flushes it. Private, because a shared
+// cache could flush the previous revision in the middle of an update.
+func seedFrom(prev *Library, key string) *SummaryCache {
+	c := NewSummaryCache(len(prev.Policies.Entries))
+	for sig, ep := range prev.Policies.Entries {
+		c.insert(key, sig, prev.EntryDeps[sig], prev.MethodHashes, ep)
+	}
+	return c
+}
+
 // lookup returns the cached policy and dependency list for (optsKey, sig)
 // when every dependency pin matches hashes, the target library's own
 // method-hash table.
@@ -110,7 +123,9 @@ func (c *SummaryCache) lookup(optsKey, sig string, hashes map[string]string) (*p
 // once), so coarse eviction keeps the bookkeeping off the extraction
 // path.
 func (c *SummaryCache) insert(optsKey, sig string, deps []string, hashes map[string]string, ep *policy.EntryPolicy) {
-	if c == nil {
+	if c == nil || len(deps) == 0 {
+		// An entry with no recorded dependencies (a snapshot can lack
+		// them) has nothing to validate against; never splice it.
 		return
 	}
 	pins := make([]depPin, 0, len(deps))

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -31,9 +30,7 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		s.failStore(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(blob)
+	s.writePayload(w, blob, nil)
 }
 
 // handleBatch executes a mixed array of extract/diff items under a
@@ -125,63 +122,26 @@ func (s *Server) runBatchItem(ctx context.Context, index int, it batch.Item) bat
 
 func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) batch.ItemResult {
 	if err := it.Validate(); err != nil {
-		return batchError(index, it, http.StatusBadRequest, CodeBadRequest, err)
+		return batchError(index, it, &failure{http.StatusBadRequest, CodeBadRequest, err})
 	}
-	var want *domainAssertion
-	if it.Domain != "" {
-		d, err := s.resolveDomain(it.Domain)
-		if err != nil {
-			return batchError(index, it, http.StatusBadRequest, CodeUnknownDomain, err)
-		}
-		want = &domainAssertion{d.ID()}
+	var payload []byte
+	var f *failure
+	if it.Op == batch.OpExtract {
+		payload, f = s.extract(ctx, it.Fingerprint, it.Domain)
+	} else {
+		payload, f = s.diff(ctx, it.A, it.B, it.Domain)
 	}
-	switch it.Op {
-	case batch.OpExtract:
-		blob, err := s.st.PoliciesContext(ctx, it.Fingerprint)
-		if err != nil {
-			status, code := storeErrorCode(err)
-			return batchError(index, it, status, code, err)
-		}
-		if want != nil {
-			var hdr struct {
-				Domain string `json:"domain"`
-			}
-			if json.Unmarshal(blob, &hdr) == nil && domainLabel(hdr.Domain) != want.id {
-				return batchError(index, it, http.StatusBadRequest, CodeBadRequest,
-					fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
-						it.Fingerprint, domainLabel(hdr.Domain), want.id))
-			}
-		}
-		return batch.ItemResult{Index: index, Op: it.Op, Status: http.StatusOK, Result: blob}
-	case batch.OpDiff:
-		rep, err := s.st.DiffContext(ctx, it.A, it.B)
-		if err != nil {
-			status, code := storeErrorCode(err)
-			return batchError(index, it, status, code, err)
-		}
-		if want != nil && domainLabel(rep.Domain) != want.id {
-			return batchError(index, it, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-					domainLabel(rep.Domain), want.id))
-		}
-		wire, err := rep.EncodeJSON()
-		if err != nil {
-			return batchError(index, it, http.StatusInternalServerError, CodeExtractFailed, err)
-		}
-		return batch.ItemResult{Index: index, Op: it.Op, Status: http.StatusOK, Result: wire}
+	if f != nil {
+		return batchError(index, it, f)
 	}
-	// Unreachable: Validate rejected unknown ops.
-	return batchError(index, it, http.StatusBadRequest, CodeBadRequest, errors.New("unknown op"))
+	return batch.ItemResult{Index: index, Op: it.Op, Status: http.StatusOK, Result: payload}
 }
 
-// domainAssertion carries a resolved domain ID for per-item checks.
-type domainAssertion struct{ id string }
-
-func batchError(index int, it batch.Item, status int, code string, err error) batch.ItemResult {
+func batchError(index int, it batch.Item, f *failure) batch.ItemResult {
 	return batch.ItemResult{
 		Index:  index,
 		Op:     it.Op,
-		Status: status,
-		Error:  &batch.ItemError{Code: code, Message: codeMessages[code], Detail: err.Error()},
+		Status: f.status,
+		Error:  &batch.ItemError{Code: f.code, Message: codeMessages[f.code], Detail: f.err.Error()},
 	}
 }

@@ -380,32 +380,8 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	want, err := s.assertDomain(w, req.Domain)
-	if err != nil {
-		return
-	}
-	blob, err := s.st.PoliciesContext(r.Context(), req.Fingerprint)
-	if err != nil {
-		s.failStore(w, err)
-		return
-	}
-	if want != nil {
-		// Only the domain header matters here. encoding/json still scans
-		// the whole blob, but skips building the policy set.
-		var hdr struct {
-			Domain string `json:"domain"`
-		}
-		if json.Unmarshal(blob, &hdr) == nil && !domainMatches(want, hdr.Domain) {
-			s.fail(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
-					req.Fingerprint, domainLabel(hdr.Domain), want.ID()))
-			return
-		}
-	}
-	// Raw persisted bytes: byte-identical to `polora export` output.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(blob)
+	blob, f := s.extract(r.Context(), req.Fingerprint, req.Domain)
+	s.writePayload(w, blob, f)
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -413,31 +389,81 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	want, err := s.assertDomain(w, req.Domain)
-	if err != nil {
-		return
+	wire, f := s.diff(r.Context(), req.A, req.B, req.Domain)
+	s.writePayload(w, wire, f)
+}
+
+// failure is a failed request: the HTTP status and stable code it maps
+// to, and its cause. It is not an error value; handlers write it as an
+// error envelope and batch items carry it in theirs.
+type failure struct {
+	status int
+	code   string
+	err    error
+}
+
+// extract returns fp's policy blob, the raw persisted bytes and so
+// byte-identical to `polora export` output. A non-empty domain asserts
+// the blob's domain. It serves /v1/extract and batch extract items.
+func (s *Server) extract(ctx context.Context, fp, domain string) ([]byte, *failure) {
+	want, f := s.assertedDomain(domain)
+	if f != nil {
+		return nil, f
 	}
-	rep, err := s.st.DiffContext(r.Context(), req.A, req.B)
+	blob, err := s.st.PoliciesContext(ctx, fp)
 	if err != nil {
-		s.failStore(w, err)
-		return
+		return nil, storeFailure(err)
 	}
-	if want != nil && !domainMatches(want, rep.Domain) {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest,
+	if want != "" {
+		// Only the domain header matters here. encoding/json still scans
+		// the whole blob, but skips building the policy set.
+		var hdr struct {
+			Domain string `json:"domain"`
+		}
+		if json.Unmarshal(blob, &hdr) == nil && domainLabel(hdr.Domain) != want {
+			return nil, &failure{http.StatusBadRequest, CodeBadRequest,
+				fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
+					fp, domainLabel(hdr.Domain), want)}
+		}
+	}
+	return blob, nil
+}
+
+// diff returns the canonical wire bytes of a's and b's comparison:
+// identical to `polora diff -json` output and to the report the drift
+// timeline records a digest of. A non-empty domain asserts the compared
+// policies' domain. It serves /v1/diff and batch diff items.
+func (s *Server) diff(ctx context.Context, a, b, domain string) ([]byte, *failure) {
+	want, f := s.assertedDomain(domain)
+	if f != nil {
+		return nil, f
+	}
+	rep, err := s.st.DiffContext(ctx, a, b)
+	if err != nil {
+		return nil, storeFailure(err)
+	}
+	if want != "" && domainLabel(rep.Domain) != want {
+		return nil, &failure{http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-				domainLabel(rep.Domain), want.ID()))
-		return
+				domainLabel(rep.Domain), want)}
 	}
-	// The canonical wire bytes: identical to `polora diff -json` output
-	// and to the report the drift timeline records a digest of.
 	wire, err := rep.EncodeJSON()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, CodeExtractFailed, err)
+		return nil, &failure{http.StatusInternalServerError, CodeExtractFailed, err}
+	}
+	return wire, nil
+}
+
+// writePayload writes an extract or diff payload verbatim, or its
+// failure as an error envelope.
+func (s *Server) writePayload(w http.ResponseWriter, payload []byte, f *failure) {
+	if f != nil {
+		s.fail(w, f.status, f.code, f.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(wire)
+	w.Write(payload)
 }
 
 // handleDrift serves the drift timeline: the newest ?limit=N entries
@@ -528,25 +554,18 @@ func (s *Server) resolveDomain(id string) (*secmodel.Domain, error) {
 	return d, nil
 }
 
-// assertDomain resolves a request's optional domain assertion. An empty
-// field asserts nothing and returns (nil, nil); an invalid one writes
-// the unknown_domain error and returns it so the handler stops.
-func (s *Server) assertDomain(w http.ResponseWriter, id string) (*secmodel.Domain, error) {
+// assertedDomain resolves a request's optional domain assertion to the
+// registered ID it names. An empty field asserts nothing and returns "";
+// an invalid one fails with unknown_domain.
+func (s *Server) assertedDomain(id string) (string, *failure) {
 	if id == "" {
-		return nil, nil
+		return "", nil
 	}
 	d, err := s.resolveDomain(id)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, CodeUnknownDomain, err)
-		return nil, err
+		return "", &failure{http.StatusBadRequest, CodeUnknownDomain, err}
 	}
-	return d, nil
-}
-
-// domainMatches reports whether a wire-format domain ID (empty = the
-// default domain) names the asserted domain.
-func domainMatches(want *secmodel.Domain, wireID string) bool {
-	return domainLabel(wireID) == want.ID()
+	return d.ID(), nil
 }
 
 // domainLabel spells the wire format's empty default-domain ID as the
@@ -558,30 +577,30 @@ func domainLabel(id string) string {
 	return id
 }
 
-// storeErrorCode maps a store-layer error to its HTTP status and stable
-// error code. Shared by the single-item handlers (via failStore) and the
-// per-item envelopes of /v1/batch, so an item fails with exactly the
-// code its standalone request would have.
-func storeErrorCode(err error) (status int, code string) {
+// storeFailure maps a store-layer error to its HTTP status and stable
+// error code. Shared by the single-item handlers and the per-item
+// envelopes of /v1/batch, so an item fails with exactly the code its
+// standalone request would have.
+func storeFailure(err error) *failure {
+	f := &failure{http.StatusInternalServerError, CodeExtractFailed, err}
 	switch {
 	case errors.Is(err, store.ErrNotFound):
-		return http.StatusNotFound, CodeUnknownLibrary
+		f.status, f.code = http.StatusNotFound, CodeUnknownLibrary
 	case errors.Is(err, secmodel.ErrUnknownDomain):
-		return http.StatusBadRequest, CodeUnknownDomain
+		f.status, f.code = http.StatusBadRequest, CodeUnknownDomain
 	case errors.Is(err, oracle.ErrDomainMismatch):
-		return http.StatusBadRequest, CodeBadRequest
+		f.status, f.code = http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, store.ErrMalformed), errors.Is(err, store.ErrInvalid):
-		return http.StatusBadRequest, CodeBadRequest
+		f.status, f.code = http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable, CodeShuttingDown
-	default:
-		return http.StatusInternalServerError, CodeExtractFailed
+		f.status, f.code = http.StatusServiceUnavailable, CodeShuttingDown
 	}
+	return f
 }
 
 func (s *Server) failStore(w http.ResponseWriter, err error) {
-	status, code := storeErrorCode(err)
-	s.fail(w, status, code, err)
+	f := storeFailure(err)
+	s.fail(w, f.status, f.code, f.err)
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, code string, err error) {

@@ -101,6 +101,9 @@ func TestTornDepsSidecarFallsBackToFullExtraction(t *testing.T) {
 	if err := os.WriteFile(s.depsPath(res1.Fingerprint), side[:len(side)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A torn sidecar comes from a crash, so the update runs in a new
+	// process: its summary cache is cold and every entry is analyzed.
+	s = openTestStore(t, dir)
 	res2, err := s.Update(ctx, "api", map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}, OptionsWire{})
 	if err != nil {
 		t.Fatalf("update over torn sidecar: %v", err)

@@ -87,13 +87,6 @@ type Config struct {
 	// (default 2). Single-flight already collapses same-fingerprint
 	// requests; this bounds distinct ones.
 	MaxInflight int
-	// SummaryCacheEntries caps the cross-library summary cache shared by
-	// every extraction this store performs: entry policies whose full
-	// dependency cone hashes identically across bundles (forks, vendored
-	// copies, re-uploads under new options) are spliced instead of
-	// re-analyzed. 0 uses oracle.DefaultSummaryCacheCap; a negative value
-	// disables the cache.
-	SummaryCacheEntries int
 	// Backends are consulted in order on a mem+disk miss, before local
 	// extraction: the pluggable remote tiers of a distributed store
 	// (peer replicas today; an object store tomorrow). A blob served by
@@ -146,7 +139,7 @@ type Store struct {
 	backends []Backend
 	tm       *telemetry.StoreMetrics
 	xm       *telemetry.ExtractMetrics
-	sums     *oracle.SummaryCache // nil when disabled
+	sums     *oracle.SummaryCache
 	log      *slog.Logger
 
 	mu     sync.Mutex
@@ -168,8 +161,9 @@ type Store struct {
 	bundles, diffs, evictions            atomic.Uint64
 	backendHits, decodes                 atomic.Uint64
 
-	// extract produces the policy blob for a bundle; tests may stub it.
-	extract func(context.Context, *Bundle) ([]byte, error)
+	// extract extracts a bundle's policies, seeded from the previous
+	// revision when one is given; tests may stub it.
+	extract func(context.Context, *Bundle, *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error)
 }
 
 // flightCall is one in-flight load-or-extract. Waiters are refcounted:
@@ -211,15 +205,13 @@ func Open(cfg Config) (*Store, error) {
 		backends:    cfg.Backends,
 		tm:          telemetry.NewStoreMetrics(cfg.Registry),
 		xm:          telemetry.NewExtractMetrics(cfg.Registry),
+		sums:        oracle.NewSummaryCache(0),
 		log:         cfg.Logger,
 		cache:       newBlobLRU(cfg.CacheEntries),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
 	}
-	if cfg.SummaryCacheEntries >= 0 {
-		s.sums = oracle.NewSummaryCache(cfg.SummaryCacheEntries)
-	}
-	s.extract = s.extractBundle
+	s.extract = s.extractLibrary
 	return s, nil
 }
 
@@ -571,13 +563,23 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	if err != nil {
 		return nil, nil, err
 	}
+	blob, _, err := s.extractAndPersist(ctx, b, nil)
+	return blob, nil, err
+}
+
+// extractAndPersist is the store's one extraction path: cold reads call
+// it without a seed and Update with the previous revision. In one of the
+// store's extraction slots it extracts b's policies, incrementally from
+// prev when it is non-nil, then persists the policy blob and the
+// incremental sidecar. The stats are what the extraction measured.
+func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, prev *oracle.Library) ([]byte, *oracle.IncrementalStats, error) {
 	queued := time.Now()
 	select {
 	case s.sem <- struct{}{}:
-		// Observed only here — by the flight leader, after it actually
-		// acquired a slot. Coalesced joins never reach this function and a
-		// leader cancelled while queueing records nothing, so the histogram
-		// counts one sample per extraction slot granted, not per caller.
+		// Observed only here, after a slot was actually acquired. Coalesced
+		// readers never reach this function and a caller cancelled while
+		// queueing records nothing, so the histogram counts one sample per
+		// extraction slot granted, not per caller.
 		s.tm.QueueWait.ObserveDuration(time.Since(queued))
 	case <-ctx.Done():
 		return nil, nil, ctx.Err()
@@ -588,9 +590,10 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	}
 	s.extractions.Add(1)
 	s.tm.Extractions.Inc()
-	s.log.Info("store: extraction start", "fingerprint", fp, "library", b.Name)
+	fp := b.Fingerprint
+	s.log.Info("store: extraction start", "fingerprint", fp, "library", b.Name, "seeded", prev != nil)
 	start := time.Now()
-	blob, err := s.extract(ctx, b)
+	lib, st, err := s.extract(ctx, b, prev)
 	elapsed := time.Since(start)
 	s.tm.ExtractDuration.ObserveDuration(elapsed)
 	if err != nil {
@@ -599,12 +602,30 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 			"duration", elapsed, "err", err)
 		return nil, nil, err
 	}
+	// The snapshot's policies are exactly ExportJSON's bytes: the blob.
+	snap, err := lib.Snapshot()
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: bundle %s: %w", fp, err)
+	}
+	blob := snap.Policies
 	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
-		"duration", elapsed, "bytes", len(blob))
-	if err := WriteAtomic(path, blob); err != nil {
+		"duration", elapsed, "bytes", len(blob), "entries", st.Entries,
+		"reused", st.Reused, "reanalyzed", st.Reanalyzed)
+	if err := WriteAtomic(s.policyPath(fp), blob); err != nil {
 		return nil, nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
-	return blob, nil, nil
+	// The sidecar is best-effort: the blob is the source of truth, and a
+	// missing sidecar only forces the next update of this library through
+	// a full extraction.
+	snap.Policies = nil
+	data, err := snap.Encode()
+	if err == nil {
+		err = WriteAtomic(s.depsPath(fp), data)
+	}
+	if err != nil {
+		s.log.Warn("store: writing incremental sidecar failed", "fingerprint", fp, "err", err)
+	}
+	return blob, st, nil
 }
 
 // fromBackends asks each configured backend for fp's blob, in order.
@@ -640,45 +661,41 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, *pol
 	return nil, nil, false
 }
 
-func (s *Store) extractBundle(ctx context.Context, b *Bundle) ([]byte, error) {
+// extractLibrary loads b and extracts its policies, incrementally from
+// prev when it is non-nil. Without prev the stats describe a full
+// extraction whose Reanalyzed is still measured: the process-wide summary
+// cache may splice entries here too.
+func (s *Store) extractLibrary(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 	opts, err := b.Options.ToOracle()
 	if err != nil {
-		return nil, fmt.Errorf("store: bundle %s: %w: %w", b.Fingerprint, ErrInvalid, err)
+		return nil, nil, fmt.Errorf("store: bundle %s: %w: %w", b.Fingerprint, ErrInvalid, err)
 	}
 	opts.Parallel = s.parallel
 	opts.Telemetry = s.xm
 	opts.Summaries = s.sums
 	// Display-only data (paths, guards) never reaches the wire format the
-	// store serves, and the incremental sidecar records a display-free
-	// extraction; skip collecting it server-side.
+	// store serves, and the store seeds from wire-format snapshots; skip
+	// collecting it server-side, or the option keys would never match the
+	// sidecar's.
 	opts.CollectPaths, opts.CollectGuards = false, false
-	lib, err := oracle.LoadLibrary(b.Name, b.Sources)
-	if err != nil {
-		return nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
-	}
-	if err := lib.ExtractContext(ctx, opts); err != nil {
-		return nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
-	}
-	s.writeIncrementalState(lib, b.Fingerprint)
-	return lib.Policies.ExportJSON()
-}
-
-// writeIncrementalState persists the deps sidecar (method hashes + entry
-// dependency sets) for fp. Best-effort: the policy blob is the source of
-// truth, and a missing sidecar only forces the next update of this
-// library through a full extraction.
-func (s *Store) writeIncrementalState(lib *oracle.Library, fp string) {
-	snap, err := lib.Snapshot()
-	if err == nil {
-		snap.Policies = nil // the blob is persisted separately under policies/
-		var data []byte
-		if data, err = snap.Encode(); err == nil {
-			err = WriteAtomic(s.depsPath(fp), data)
-		}
+	var lib *oracle.Library
+	st := &oracle.IncrementalStats{Full: true}
+	if prev != nil {
+		lib, st, err = oracle.ExtractIncrementalContext(ctx, prev, b.Sources, opts)
+	} else if lib, err = oracle.LoadLibrary(b.Name, b.Sources); err == nil {
+		err = lib.ExtractContext(ctx, opts)
 	}
 	if err != nil {
-		s.log.Warn("store: writing incremental sidecar failed", "fingerprint", fp, "err", err)
+		return nil, nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
 	}
+	if prev == nil {
+		// Both modes run the same entries; a single-mode extraction
+		// leaves the other mode's count at zero.
+		st.Entries = len(lib.Policies.Entries)
+		st.Reanalyzed = max(lib.MayStats.EntryPoints, lib.MustStats.EntryPoints)
+		st.Reused = st.Entries - st.Reanalyzed
+	}
+	return lib, st, nil
 }
 
 // PolicySet returns the parsed policies for a fingerprint with a

@@ -223,10 +223,10 @@ func TestConcurrentRequestsExtractOnce(t *testing.T) {
 	}
 	var calls atomic.Int64
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return inner(ctx, b)
+		return inner(ctx, b, prev)
 	}
 	const n = 16
 	blobs := make([][]byte, n)
@@ -362,14 +362,14 @@ func TestPoliciesContextCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	sawCancel := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
 			close(sawCancel)
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-time.After(10 * time.Second):
-			return inner(ctx, b)
+			return inner(ctx, b, prev)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -405,10 +405,10 @@ func TestCoalescedWaiterCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b)
+		return inner(ctx, b, prev)
 	}
 	done := make(chan error, 1)
 	go func() {

@@ -3,10 +3,8 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"policyoracle/internal/oracle"
 )
@@ -22,8 +20,11 @@ type UpdateResult struct {
 	// Created is false when the exact bundle content was already stored.
 	Created bool `json:"created"`
 	// Incremental is true when the library's previous extraction seeded
-	// this one; Entries/Reused/Reanalyzed count its entry points either
-	// way (an already-extracted bundle reports all entries as reused).
+	// this one. Entries counts its entry points either way; Reanalyzed of
+	// them went through the analyzers, and the other Reused = Entries -
+	// Reanalyzed were spliced, from the previous revision or from another
+	// library already extracted in this process. An already-extracted
+	// bundle reports all entries as reused.
 	Incremental bool `json:"incremental"`
 	Entries     int  `json:"entries"`
 	Reused      int  `json:"reused"`
@@ -64,9 +65,16 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 	if prevFP != "" && prevFP != fp {
 		prev = s.loadIncrementalSeed(prevFP)
 	}
-	if err := s.extractUpdate(ctx, fp, name, sources, w, prev, res); err != nil {
+	b := &Bundle{Fingerprint: fp, Name: name, Options: w, Sources: sources}
+	blob, st, err := s.extractAndPersist(ctx, b, prev)
+	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	s.noteEvictions(s.cache.add(fp, blob, false))
+	s.mu.Unlock()
+	res.Incremental = !st.Full
+	res.Entries, res.Reused, res.Reanalyzed = st.Entries, st.Reused, st.Reanalyzed
 	return res, nil
 }
 
@@ -109,79 +117,4 @@ func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 		return nil
 	}
 	return lib
-}
-
-// extractUpdate extracts fp's policies under the extraction semaphore,
-// incrementally from prev when possible, and persists blob + sidecar.
-func (s *Store) extractUpdate(ctx context.Context, fp, name string, sources map[string]string, w OptionsWire, prev *oracle.Library, res *UpdateResult) error {
-	opts, err := w.ToOracle()
-	if err != nil {
-		return fmt.Errorf("store: %w: %w", ErrInvalid, err)
-	}
-	opts.Parallel = s.parallel
-	opts.Telemetry = s.xm
-	opts.Summaries = s.sums
-	// Same reasoning as extractBundle: the store serves wire-format bytes
-	// and seeds from wire-format snapshots, so display data is never
-	// collected server-side (and must not be, or the option keys would
-	// never match the sidecar's).
-	opts.CollectPaths, opts.CollectGuards = false, false
-
-	queued := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-		s.tm.QueueWait.ObserveDuration(time.Since(queued))
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-s.sem }()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.extractions.Add(1)
-	s.tm.Extractions.Inc()
-	s.log.Info("store: update extraction start", "fingerprint", fp, "library", name,
-		"incremental", prev != nil)
-	start := time.Now()
-	var lib *oracle.Library
-	if prev != nil {
-		var st *oracle.IncrementalStats
-		lib, st, err = oracle.ExtractIncrementalContext(ctx, prev, sources, opts)
-		if err == nil {
-			res.Incremental = !st.Full
-			res.Entries, res.Reused, res.Reanalyzed = st.Entries, st.Reused, st.Reanalyzed
-		}
-	} else {
-		lib, err = oracle.LoadLibrary(name, sources)
-		if err == nil {
-			err = lib.ExtractContext(ctx, opts)
-		}
-		if err == nil {
-			res.Entries = len(lib.Policies.Entries)
-			res.Reanalyzed = res.Entries
-		}
-	}
-	elapsed := time.Since(start)
-	s.tm.ExtractDuration.ObserveDuration(elapsed)
-	if err != nil {
-		s.tm.ExtractFailures.Inc()
-		s.log.Warn("store: update extraction failed", "fingerprint", fp, "library", name,
-			"duration", elapsed, "err", err)
-		return fmt.Errorf("store: bundle %s: %w", fp, err)
-	}
-	blob, err := lib.Policies.ExportJSON()
-	if err != nil {
-		return fmt.Errorf("store: bundle %s: %w", fp, err)
-	}
-	if err := WriteAtomic(s.policyPath(fp), blob); err != nil {
-		return fmt.Errorf("store: persisting policies: %w", err)
-	}
-	s.writeIncrementalState(lib, fp)
-	s.mu.Lock()
-	s.noteEvictions(s.cache.add(fp, blob, false))
-	s.mu.Unlock()
-	s.log.Info("store: update extraction done", "fingerprint", fp, "library", name,
-		"duration", elapsed, "entries", res.Entries, "reused", res.Reused,
-		"reanalyzed", res.Reanalyzed)
-	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"policyoracle/internal/oracle"
+	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
 )
 
@@ -57,9 +59,9 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		time.Sleep(50 * time.Millisecond) // let every reader coalesce
-		return inner(ctx, b)
+		return inner(ctx, b, prev)
 	}
 	const n = 8
 	var wg sync.WaitGroup
@@ -118,10 +120,10 @@ func TestMixedContextAndBackgroundWaiters(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b)
+		return inner(ctx, b, prev)
 	}
 
 	// Leader on a background context.
@@ -300,7 +302,8 @@ func TestUpdateIncrementalAcrossReopen(t *testing.T) {
 // A missing or corrupt sidecar degrades to a full extraction, never an
 // error — losing incremental state costs time, not correctness.
 func TestUpdateFallsBackWithoutSidecar(t *testing.T) {
-	s := openTestStore(t, t.TempDir())
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
 	res1, err := s.Update(context.Background(), "a", testSources(), OptionsWire{})
 	if err != nil {
 		t.Fatal(err)
@@ -308,6 +311,9 @@ func TestUpdateFallsBackWithoutSidecar(t *testing.T) {
 	if err := os.Remove(s.depsPath(res1.Fingerprint)); err != nil {
 		t.Fatal(err)
 	}
+	// A lost sidecar comes with a restart, so the update runs in a new
+	// process: its summary cache is cold and every entry is analyzed.
+	s = openTestStore(t, dir)
 	v2 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}
 	res2, err := s.Update(context.Background(), "a", v2, OptionsWire{})
 	if err != nil {
@@ -403,4 +409,43 @@ func TestUpdateMetrics(t *testing.T) {
 	if got := s.xm.IncrementalReused.Value(); got != float64(res.Reused) {
 		t.Errorf("reused counter = %v, want %d", got, res.Reused)
 	}
+}
+
+// PUT's reanalyzed is the number of entries the analyzers ran, also when
+// the process-wide summary cache splices entries: (a) a seeded update
+// whose new content the cache already holds under another name, and (b)
+// an update without a sidecar while the cache is warm.
+func TestUpdateReportsMeasuredReanalysis(t *testing.T) {
+	reg := telemetry.New()
+	s, err := Open(Config{Dir: t.TempDir(), Parallel: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	v2 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}
+	update := func(label, name string, sources map[string]string, incremental bool) *UpdateResult {
+		t.Helper()
+		before := s.xm.EntryPoints.With("may", secmodel.DefaultDomainID).Value()
+		res, err := s.Update(ctx, name, sources, OptionsWire{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := s.xm.EntryPoints.With("may", secmodel.DefaultDomainID).Value() - before
+		if float64(res.Reanalyzed) != ran {
+			t.Errorf("%s: reanalyzed = %d, but the analyzers ran %v entries", label, res.Reanalyzed, ran)
+		}
+		if res.Entries == 0 || res.Reused+res.Reanalyzed != res.Entries || res.Incremental != incremental {
+			t.Errorf("%s: %+v, want incremental=%v and reused+reanalyzed == entries", label, res, incremental)
+		}
+		return res
+	}
+
+	update("first upload", "a", testSources(), false)
+	fork := update("v2 under another name", "fork", v2, false)
+	update("(a) seeded, new content cached", "a", v2, true)
+
+	if err := os.Remove(s.depsPath(fork.Fingerprint)); err != nil {
+		t.Fatal(err)
+	}
+	update("(b) no sidecar, warm cache", "fork", testSources(), false)
 }

@@ -301,11 +301,12 @@ type ExtractMetrics struct {
 	CPHits         *CounterVec
 	EntryPoints    *CounterVec
 	// Incremental-extraction instruments, fed by
-	// oracle.ExtractIncremental: entry policies spliced from the
-	// previous extraction (polora_incremental_reused_total), entries
-	// re-analyzed (polora_incremental_reanalyzed_total), methods
-	// content-hashed (polora_incremental_hash_total), and the per-entry
-	// dependency-set size (polora_incremental_depset_size).
+	// oracle.ExtractIncremental with what each extraction measured:
+	// entries the analyzers ran (polora_incremental_reanalyzed_total),
+	// the other entries, spliced from the previous revision or the
+	// process-wide summary cache (polora_incremental_reused_total),
+	// methods content-hashed (polora_incremental_hash_total), and the
+	// per-entry dependency-set size (polora_incremental_depset_size).
 	IncrementalReused     *Counter
 	IncrementalReanalyzed *Counter
 	IncrementalHashed     *Counter
@@ -350,9 +351,9 @@ func NewExtractMetrics(r *Registry) *ExtractMetrics {
 		EntryPoints: r.CounterVec("policyoracle_analysis_entry_points_total",
 			"Entry points analyzed by mode and check domain.", "mode", "domain"),
 		IncrementalReused: r.Counter("polora_incremental_reused_total",
-			"Entry policies spliced unchanged from the previous extraction."),
+			"Entry policies incremental extractions spliced, from the previous revision or the summary cache."),
 		IncrementalReanalyzed: r.Counter("polora_incremental_reanalyzed_total",
-			"Entry points re-analyzed by incremental extractions."),
+			"Entry points incremental extractions ran through the analyzers."),
 		IncrementalHashed: r.Counter("polora_incremental_hash_total",
 			"Methods content-hashed by incremental extractions."),
 		DepSetSize: r.Histogram("polora_incremental_depset_size",
