@@ -190,7 +190,10 @@ func BenchmarkBaselineMining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := mining.New(l.Policies, mining.DefaultConfig())
+		m, err := mining.New(l.Policies, mining.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		m.FindViolations()
 	}
 }

@@ -173,7 +173,7 @@ func (cf *commonFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&cf.noICP, "no-icp", false, "disable interprocedural constant propagation")
 	fs.StringVar(&cf.memo, "memo", "global", "summary reuse: global, per-entry, none")
 	fs.BoolVar(&cf.noAssumeSM, "no-assume-sm", false, "do not fold security-manager null guards")
-	fs.BoolVar(&cf.witness, "witness", false, "dynamically confirm each difference by interpretation")
+	fs.BoolVar(&cf.witness, "witness", false, "dynamically confirm each difference by interpretation (text output only)")
 	fs.BoolVar(&cf.jsonOut, "json", false, "emit the report as JSON (diff only)")
 	fs.BoolVar(&cf.guards, "guards", false, "report the branch conditions guarding each check (policies only)")
 	fs.IntVar(&cf.parallel, "parallel", 0, "extraction workers per analysis mode (0 = GOMAXPROCS, 1 = sequential)")
@@ -293,6 +293,9 @@ func cmdDiff(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("diff: expected two directories, got %d args", fs.NArg())
 	}
+	if cf.witness && cf.jsonOut {
+		return fmt.Errorf("diff: -witness cannot be combined with -json")
+	}
 	opts, err := cf.options()
 	if err != nil {
 		return err
@@ -332,7 +335,11 @@ func cmdDiff(args []string) error {
 		}
 		printGroup(g, opts.Domain)
 		if cf.witness {
-			for _, r := range witness.Confirm(libs[0].Prog.Types, libs[1].Prog.Types, libs[0].Name, libs[1].Name, g) {
+			rs, err := witness.Confirm(libs[0], libs[1], g)
+			if err != nil {
+				return err
+			}
+			for _, r := range rs {
 				fmt.Printf("  witness: %s\n", r)
 			}
 			fmt.Println()

@@ -166,4 +166,8 @@ func TestCLIErrors(t *testing.T) {
 	if out, err := runCLI(t, bin, "policies", "-memo", "bogus", t.TempDir()); err == nil {
 		t.Errorf("bogus memo mode accepted:\n%s", out)
 	}
+	// The witness has no JSON form: the pair is rejected before loading.
+	if out, err := runCLI(t, bin, "diff", "-witness", "-json", "/nonexistent-a", "/nonexistent-b"); err == nil || !strings.Contains(out, "-witness") {
+		t.Errorf("diff -witness -json not rejected up front:\n%s", out)
+	}
 }

@@ -56,8 +56,12 @@ public class Log {
 	if err != nil {
 		log.Fatal(err)
 	}
+	dom, err := a.Policies.DomainModel()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, g := range rep.Groups {
-		fmt.Printf("%s: %s missing in %s at %s\n", g.Case, g.DiffChecks, g.MissingIn, g.Entries[0])
+		fmt.Printf("%s: %s missing in %s at %s\n", g.Case, g.DiffChecks.StringIn(dom), g.MissingIn, g.Entries[0])
 	}
 	// Output:
 	// missing-policy: {checkWrite} missing in vendor-b at api.Log.append(String)

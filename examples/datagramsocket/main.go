@@ -30,6 +30,12 @@ func main() {
 		libs[name] = lib
 	}
 
+	// Check sets render in the domain the policies were extracted under.
+	dom, err := libs["jdk"].Policies.DomainModel()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	const entry = "java.net.DatagramSocket.connect(InetAddress,int)"
 	for _, name := range []string{"jdk", "harmony"} {
 		ep := libs[name].Policies.Entries[entry]
@@ -39,8 +45,8 @@ func main() {
 		fmt.Printf("(%s) DatagramSocket.connect security policies\n", name)
 		for _, ev := range ep.SortedEvents() {
 			evp := ep.Events[ev]
-			fmt.Printf("  MUST check: %s\n  Event: API %s\n", evp.Must, ev)
-			fmt.Printf("  MAY check: %s\n  Event: API %s\n", pathsOrFlat(evp), ev)
+			fmt.Printf("  MUST check: %s\n  Event: API %s\n", evp.Must.StringIn(dom), ev)
+			fmt.Printf("  MAY check: %s\n  Event: API %s\n", pathsOrFlat(evp, dom), ev)
 		}
 		fmt.Println()
 	}
@@ -54,16 +60,16 @@ func main() {
 		for _, e := range g.Entries {
 			if strings.Contains(e, "DatagramSocket") {
 				fmt.Printf("[%s] checks %s missing in %s — manifests at %s\n",
-					g.Case, g.DiffChecks, g.MissingIn, e)
+					g.Case, g.DiffChecks.StringIn(dom), g.MissingIn, e)
 			}
 		}
 	}
 }
 
 // pathsOrFlat prints Figure 2's set-of-alternatives form when available.
-func pathsOrFlat(evp *policyoracle.EventPolicy) string {
+func pathsOrFlat(evp *policyoracle.EventPolicy, dom *policyoracle.Domain) string {
 	if len(evp.Paths.Sets) > 1 {
-		return evp.Paths.String()
+		return evp.Paths.StringIn(dom)
 	}
-	return evp.May.String()
+	return evp.May.StringIn(dom)
 }

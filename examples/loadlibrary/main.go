@@ -27,6 +27,12 @@ func main() {
 		libs[name] = lib
 	}
 
+	// Check sets render in the domain the policies were extracted under.
+	dom, err := libs["jdk"].Policies.DomainModel()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	const entry = "java.lang.Runtime.loadLibrary(String)"
 	fmt.Println("Runtime.loadLibrary policies (API-return event):")
 	for _, name := range []string{"jdk", "classpath"} {
@@ -35,7 +41,7 @@ func main() {
 			log.Fatalf("%s: %s not found", name, entry)
 		}
 		ret := ep.Events[policyoracle.Event{Kind: policyoracle.APIReturn}]
-		fmt.Printf("  %-10s MUST %s\n", name, ret.Must)
+		fmt.Printf("  %-10s MUST %s\n", name, ret.Must.StringIn(dom))
 	}
 	fmt.Println()
 
@@ -43,7 +49,7 @@ func main() {
 	for _, name := range []string{"jdk", "classpath"} {
 		ep := libs[name].Policies.Entries["java.lang.PropsAccess.getProperty(String)"]
 		ret := ep.Events[policyoracle.Event{Kind: policyoracle.APIReturn}]
-		fmt.Printf("  %-10s MUST %s\n", name, ret.Must)
+		fmt.Printf("  %-10s MUST %s\n", name, ret.Must.StringIn(dom))
 	}
 	fmt.Println()
 
@@ -56,7 +62,7 @@ func main() {
 		for _, e := range g.Entries {
 			if strings.Contains(e, "loadLibrary") || strings.Contains(e, "getProperty") {
 				fmt.Printf("[%s/%s] checks %s missing in %s — %s\n",
-					g.Case, g.Category, g.DiffChecks, g.MissingIn, e)
+					g.Case, g.Category, g.DiffChecks.StringIn(dom), g.MissingIn, e)
 			}
 		}
 	}

@@ -34,7 +34,10 @@ func main() {
 		{MinSupport: 3, MinConfidence: 0.9},
 		{MinSupport: 2, MinConfidence: 0.6},
 	} {
-		m := mining.New(libs["harmony"].Policies, cfg)
+		m, err := mining.New(libs["harmony"].Policies, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
 		vs := m.FindViolations()
 		fmt.Printf("support>=%d confidence>=%.2f: %d violation(s)\n",
 			cfg.MinSupport, cfg.MinConfidence, len(vs))
@@ -56,10 +59,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	dom, err := libs["jdk"].Policies.DomainModel()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, g := range rep.Groups {
-		if strings.Contains(g.DiffChecks.String(), "checkAccept") {
+		if checks := g.DiffChecks.StringIn(dom); strings.Contains(checks, "checkAccept") {
 			fmt.Printf("[%s] checks %s missing in %s — manifests at %s\n",
-				g.Case, g.DiffChecks, g.MissingIn, strings.Join(g.Entries, ", "))
+				g.Case, checks, g.MissingIn, strings.Join(g.Entries, ", "))
 		}
 	}
 }

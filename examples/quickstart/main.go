@@ -70,13 +70,18 @@ func main() {
 	}
 	fmt.Printf("%s vs %s: %d matching entry points, %d distinct difference(s)\n\n",
 		rep.LibA, rep.LibB, rep.MatchingEntries, len(rep.Groups))
+	// Check sets render in the domain the policies were extracted under.
+	dom, err := a.Policies.DomainModel()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, g := range rep.Groups {
-		fmt.Printf("difference [%s]: checks %s missing in %s\n", g.Case, g.DiffChecks, g.MissingIn)
+		fmt.Printf("difference [%s]: checks %s missing in %s\n", g.Case, g.DiffChecks.StringIn(dom), g.MissingIn)
 		for _, e := range g.Entries {
 			fmt.Printf("  manifests at %s\n", e)
 		}
 		d := g.Diffs[0]
-		fmt.Printf("  %-10s MUST %s MAY %s (event %s)\n", d.A.Library, d.A.Must, d.A.May, d.Event)
-		fmt.Printf("  %-10s MUST %s MAY %s\n", d.B.Library, d.B.Must, d.B.May)
+		fmt.Printf("  %-10s MUST %s MAY %s (event %s)\n", d.A.Library, d.A.Must.StringIn(dom), d.A.May.StringIn(dom), d.Event)
+		fmt.Printf("  %-10s MUST %s MAY %s\n", d.B.Library, d.B.Must.StringIn(dom), d.B.May.StringIn(dom))
 	}
 }

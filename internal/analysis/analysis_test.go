@@ -84,7 +84,7 @@ func analyzeOne(t testing.TB, cfg Config, class, method string, srcs ...string) 
 
 func checkID(t testing.TB, name string, arity int) secmodel.CheckID {
 	t.Helper()
-	id, ok := secmodel.CheckByName(name, arity)
+	id, ok := secmodel.SecurityManager().CheckByName(name, arity)
 	if !ok {
 		t.Fatalf("unknown check %s/%d", name, arity)
 	}
@@ -128,11 +128,11 @@ func TestUnconditionalCheckMustAndMay(t *testing.T) {
 		want := setOf(t, "checkConnect", 2)
 		nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "connect0/2"})
 		if nat.Checks != want {
-			t.Errorf("%s native checks = %s, want %s", mode, nat.Checks, want)
+			t.Errorf("%s native checks = %s, want %s", mode, nat.Checks.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 		}
 		ret := eventResult(t, r, secmodel.ReturnEvent())
 		if ret.Checks != want {
-			t.Errorf("%s return checks = %s, want %s", mode, ret.Checks, want)
+			t.Errorf("%s return checks = %s, want %s", mode, ret.Checks.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 		}
 	}
 }
@@ -157,10 +157,10 @@ func TestConditionalCheckIsMayNotMust(t *testing.T) {
 	must := analyzeOne(t, DefaultConfig(Must), "java.net.Conn", "open", conditionalSrc)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "connect0/2"}
 	if got := eventResult(t, may, nat).Checks; got != setOf(t, "checkConnect", 2) {
-		t.Errorf("may = %s", got)
+		t.Errorf("may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 	if got := eventResult(t, must, nat).Checks; !got.IsEmpty() {
-		t.Errorf("must = %s, want empty", got)
+		t.Errorf("must = %s, want empty", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -208,7 +208,7 @@ func TestFigure1JDKPolicies(t *testing.T) {
 	ret := eventResult(t, r, secmodel.ReturnEvent())
 	wantMay := setOf(t, "checkMulticast", 1, "checkConnect", 2, "checkAccept", 2)
 	if ret.Checks != wantMay {
-		t.Errorf("may = %s, want %s", ret.Checks, wantMay)
+		t.Errorf("may = %s, want %s", ret.Checks.StringIn(secmodel.SecurityManager()), wantMay.StringIn(secmodel.SecurityManager()))
 	}
 	// Figure 2's path alternatives: {{checkMulticast}, {checkConnect, checkAccept}}.
 	wantPaths := []policy.CheckSet{
@@ -216,7 +216,7 @@ func TestFigure1JDKPolicies(t *testing.T) {
 		setOf(t, "checkConnect", 2, "checkAccept", 2),
 	}
 	if len(ret.Paths.Sets) != 2 {
-		t.Fatalf("paths = %s", ret.Paths)
+		t.Fatalf("paths = %s", ret.Paths.StringIn(secmodel.SecurityManager()))
 	}
 	for _, w := range wantPaths {
 		found := false
@@ -226,19 +226,19 @@ func TestFigure1JDKPolicies(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("path %s missing from %s", w, ret.Paths)
+			t.Errorf("path %s missing from %s", w.StringIn(secmodel.SecurityManager()), ret.Paths.StringIn(secmodel.SecurityManager()))
 		}
 	}
 
 	must := analyzeOne(t, DefaultConfig(Must), "java.net.DatagramSocket", "connect", figure1JDK)
 	if got := eventResult(t, must, secmodel.ReturnEvent()).Checks; !got.IsEmpty() {
-		t.Errorf("must = %s, want {} (Figure 2)", got)
+		t.Errorf("must = %s, want {} (Figure 2)", got.StringIn(secmodel.SecurityManager()))
 	}
 
 	// The native event deep in impl.connect carries the same policy.
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "connect0/2"})
 	if nat.Checks != wantMay {
-		t.Errorf("native may = %s, want %s", nat.Checks, wantMay)
+		t.Errorf("native may = %s, want %s", nat.Checks.StringIn(secmodel.SecurityManager()), wantMay.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -281,11 +281,11 @@ func TestFigure4ICPPreventsFalsePositive(t *testing.T) {
 	}
 	r1 := a.AnalyzeEntry(oneArg)
 	if got := eventResult(t, r1, secmodel.ReturnEvent()).Checks; !got.IsEmpty() {
-		t.Errorf("URL(String) with ICP: may = %s, want empty", got)
+		t.Errorf("URL(String) with ICP: may = %s, want empty", got.StringIn(secmodel.SecurityManager()))
 	}
 	r3 := a.AnalyzeEntry(threeArg)
 	if got := eventResult(t, r3, secmodel.ReturnEvent()).Checks; got != setOf(t, "checkPermission", 1) {
-		t.Errorf("URL(ctx,spec,handler): may = %s", got)
+		t.Errorf("URL(ctx,spec,handler): may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 
 	// Without ICP the one-arg constructor spuriously reports the check.
@@ -325,11 +325,11 @@ func TestPrivilegedChecksAreNoOps(t *testing.T) {
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "load0/0"})
 	want := setOf(t, "checkLink", 1)
 	if nat.Checks != want {
-		t.Errorf("native checks = %s, want %s", nat.Checks, want)
+		t.Errorf("native checks = %s, want %s", nat.Checks.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 	}
 	ret := eventResult(t, r, secmodel.ReturnEvent())
 	if ret.Checks != want {
-		t.Errorf("return checks = %s, want %s", ret.Checks, want)
+		t.Errorf("return checks = %s, want %s", ret.Checks.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -352,14 +352,14 @@ func TestAssumeSecurityManagerFoldsNullGuard(t *testing.T) {
 	r := analyzeOne(t, cfg, "java.lang.Runtime", "exitVM", nullGuardSrc)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "halt1/1"})
 	if nat.Checks != setOf(t, "checkExit", 1) {
-		t.Errorf("must with guard folding = %s", nat.Checks)
+		t.Errorf("must with guard folding = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 
 	cfg.AssumeSecurityManager = false
 	r2 := analyzeOne(t, cfg, "java.lang.Runtime", "exitVM", nullGuardSrc)
 	nat2 := eventResult(t, r2, secmodel.Event{Kind: secmodel.NativeCall, Key: "halt1/1"})
 	if !nat2.Checks.IsEmpty() {
-		t.Errorf("must without guard folding = %s, want empty", nat2.Checks)
+		t.Errorf("must without guard folding = %s, want empty", nat2.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -387,7 +387,7 @@ func TestInterproceduralPropagation(t *testing.T) {
 	r := analyzeOne(t, DefaultConfig(Must), "java.lang.Runtime", "loadLibrary", interprocSrc)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "nativeLoad/1"})
 	if nat.Checks != setOf(t, "checkLink", 1) {
-		t.Errorf("native checks = %s", nat.Checks)
+		t.Errorf("native checks = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -401,7 +401,7 @@ func TestMaxDepthZeroIsIntraprocedural(t *testing.T) {
 	}
 	ret := eventResult(t, r, secmodel.ReturnEvent())
 	if ret.Checks != setOf(t, "checkLink", 1) {
-		t.Errorf("return checks = %s", ret.Checks)
+		t.Errorf("return checks = %s", ret.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -424,7 +424,7 @@ func TestRecursionConverges(t *testing.T) {
 	r := analyzeOne(t, DefaultConfig(Must), "java.lang.Rec", "walk", recursiveSrc)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "read0/0"})
 	if nat.Checks != setOf(t, "checkRead", 1) {
-		t.Errorf("native checks = %s", nat.Checks)
+		t.Errorf("native checks = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -449,11 +449,11 @@ func TestLoopMayVsMust(t *testing.T) {
 	must := analyzeOne(t, DefaultConfig(Must), "java.lang.Loop", "spin", loopSrc)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "write0/0"}
 	if got := eventResult(t, may, nat).Checks; got != setOf(t, "checkWrite", 1) {
-		t.Errorf("may = %s", got)
+		t.Errorf("may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 	// The loop may execute zero times: checkWrite is not a must check.
 	if got := eventResult(t, must, nat).Checks; !got.IsEmpty() {
-		t.Errorf("must = %s, want empty", got)
+		t.Errorf("must = %s, want empty", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -558,7 +558,7 @@ func TestBroadEventsFindPrivateReads(t *testing.T) {
 	r := analyzeOne(t, cfg, "java.lang.Holder", "a", figure3A)
 	d1 := eventResult(t, r, secmodel.Event{Kind: secmodel.PrivateRead, Key: "data1"})
 	if d1.Checks != setOf(t, "checkRead", 1) {
-		t.Errorf("data1 must = %s", d1.Checks)
+		t.Errorf("data1 must = %s", d1.Checks.StringIn(secmodel.SecurityManager()))
 	}
 	// Narrow mode must not contain private-read events.
 	cfg.Events = secmodel.NarrowEvents
@@ -584,7 +584,7 @@ public class P {
 	r := analyzeOne(t, cfg, "java.lang.P", "use", src)
 	pa := eventResult(t, r, secmodel.Event{Kind: secmodel.ParamAccess, Key: "p0"})
 	if pa.Checks != setOf(t, "checkWrite", 1) {
-		t.Errorf("param access must = %s", pa.Checks)
+		t.Errorf("param access must = %s", pa.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -626,11 +626,11 @@ public class Two {
 	// Occurrence 1 has {checkExit}; occurrence 2 {checkExit, checkWrite};
 	// combining with intersection yields {checkExit}.
 	if ret.Checks != setOf(t, "checkExit", 1) {
-		t.Errorf("combined must = %s", ret.Checks)
+		t.Errorf("combined must = %s", ret.Checks.StringIn(secmodel.SecurityManager()))
 	}
 	may := analyzeOne(t, DefaultConfig(May), "java.lang.Two", "f", src)
 	if got := eventResult(t, may, secmodel.ReturnEvent()).Checks; got != setOf(t, "checkExit", 1, "checkWrite", 1) {
-		t.Errorf("combined may = %s", got)
+		t.Errorf("combined may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -644,7 +644,7 @@ public class N {
 	r := analyzeOne(t, DefaultConfig(May), "java.lang.N", "raw", src)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "raw/0"})
 	if !nat.Checks.IsEmpty() {
-		t.Errorf("native entry checks = %s", nat.Checks)
+		t.Errorf("native entry checks = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -697,10 +697,10 @@ public class StringCoding {
 	r := analyzeOne(t, DefaultConfig(May), "java.lang.StringCoding", "encode", src)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "halt0/1"})
 	if nat.Checks != setOf(t, "checkExit", 1) {
-		t.Errorf("halt0 checks = %s", nat.Checks)
+		t.Errorf("halt0 checks = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 	ret := eventResult(t, r, secmodel.ReturnEvent())
 	if !ret.Checks.Has(checkID(t, "checkExit", 1)) {
-		t.Errorf("return checks = %s", ret.Checks)
+		t.Errorf("return checks = %s", ret.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }

@@ -37,11 +37,11 @@ public class Sw {
 	must := analyzeOne(t, DefaultConfig(Must), "java.lang.Sw", "m", src)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"}
 	if got := eventResult(t, may, nat).Checks; got != setOf(t, "checkRead", 1, "checkWrite", 1) {
-		t.Errorf("may = %s", got)
+		t.Errorf("may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 	// No single check dominates (case 2 performs only checkWrite).
 	if got := eventResult(t, must, nat).Checks; !got.IsEmpty() {
-		t.Errorf("must = %s, want empty", got)
+		t.Errorf("must = %s, want empty", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -66,7 +66,7 @@ public class Sw {
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"}
 	// checkWrite executes on every path (case 1 falls through; default).
 	if got := eventResult(t, must, nat).Checks; got != setOf(t, "checkWrite", 1) {
-		t.Errorf("must = %s, want {checkWrite}", got)
+		t.Errorf("must = %s, want {checkWrite}", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -92,11 +92,11 @@ public class TC {
 	must := analyzeOne(t, DefaultConfig(Must), "java.lang.TC", "m", src)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"}
 	if got := eventResult(t, must, nat).Checks; !got.IsEmpty() {
-		t.Errorf("must in catch = %s, want empty (exception may precede check)", got)
+		t.Errorf("must in catch = %s, want empty (exception may precede check)", got.StringIn(secmodel.SecurityManager()))
 	}
 	may := analyzeOne(t, DefaultConfig(May), "java.lang.TC", "m", src)
 	if got := eventResult(t, may, nat).Checks; !got.IsEmpty() {
-		t.Errorf("may in catch = %s (handler modeled from try entry)", got)
+		t.Errorf("may in catch = %s (handler modeled from try entry)", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -115,11 +115,11 @@ public class Late {
 	may := analyzeOne(t, DefaultConfig(May), "java.lang.Late", "m", src)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"}
 	if got := eventResult(t, may, nat).Checks; !got.IsEmpty() {
-		t.Errorf("check after event counted: %s", got)
+		t.Errorf("check after event counted: %s", got.StringIn(secmodel.SecurityManager()))
 	}
 	// But it does reach the API return.
 	if got := eventResult(t, may, secmodel.ReturnEvent()).Checks; got != setOf(t, "checkRead", 1) {
-		t.Errorf("return checks = %s", got)
+		t.Errorf("return checks = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -148,12 +148,12 @@ public class Deep {
 	may := analyzeOne(t, DefaultConfig(May), "java.lang.Deep", "top", src)
 	nat := secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"}
 	if got := eventResult(t, may, nat).Checks; !got.IsEmpty() {
-		t.Errorf("null did not propagate two levels: %s", got)
+		t.Errorf("null did not propagate two levels: %s", got.StringIn(secmodel.SecurityManager()))
 	}
 	// The mid entry itself (unknown h) keeps the check as MAY.
 	mayMid := analyzeOne(t, DefaultConfig(May), "java.lang.Deep", "mid", src)
 	if got := eventResult(t, mayMid, nat).Checks; got != setOf(t, "checkRead", 1) {
-		t.Errorf("mid may = %s", got)
+		t.Errorf("mid may = %s", got.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -212,7 +212,7 @@ public class P {
 	r := a.AnalyzeEntry(guard)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
 	if nat.Checks != setOf(t, "checkExit", 1) {
-		t.Errorf("protected entry checks = %s", nat.Checks)
+		t.Errorf("protected entry checks = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -233,7 +233,7 @@ public class Fake {
 	r := analyzeOne(t, DefaultConfig(May), "java.lang.Fake", "m", src)
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
 	if !nat.Checks.IsEmpty() {
-		t.Errorf("fake check counted: %s", nat.Checks)
+		t.Errorf("fake check counted: %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -259,10 +259,10 @@ public class Many {
 	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
 	want := setOf(t, "checkRead", 1, "checkWrite", 1, "checkExit", 1, "checkLink", 1)
 	if nat.Checks != want {
-		t.Errorf("may = %s", nat.Checks)
+		t.Errorf("may = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 	if nat.Paths.Union() != want {
-		t.Errorf("paths union = %s, want %s", nat.Paths.Union(), want)
+		t.Errorf("paths union = %s, want %s", nat.Paths.Union().StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -332,9 +332,9 @@ public class Twice {
 	}
 	// Combining: one occurrence has the check, the other does not → ∩ = ∅.
 	if !nat.Checks.IsEmpty() {
-		t.Errorf("combined must = %s", nat.Checks)
+		t.Errorf("combined must = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 	if nat.Checks != policy.Empty {
-		t.Errorf("combined must not empty: %s", nat.Checks)
+		t.Errorf("combined must not empty: %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
 }

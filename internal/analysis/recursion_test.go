@@ -37,14 +37,14 @@ func TestRecursionBoundConsistency(t *testing.T) {
 		cfg := DefaultConfig(Must)
 		cfg.RecursionBound = bound
 		r := analyzeOne(t, cfg, "java.lang.MR", "a", mutualRecSrc)
-		results = append(results, eventResult(t, r, nat).Checks.String())
+		results = append(results, eventResult(t, r, nat).Checks.StringIn(secmodel.SecurityManager()))
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i] != results[0] {
 			t.Errorf("bound sweep disagrees: %v", results)
 		}
 	}
-	if results[0] != setOf(t, "checkWrite", 1).String() {
+	if results[0] != setOf(t, "checkWrite", 1).StringIn(secmodel.SecurityManager()) {
 		t.Errorf("policy = %s", results[0])
 	}
 }
@@ -135,7 +135,7 @@ func TestMemoNotPollutedByRecursionCutoff(t *testing.T) {
 			}
 			if ger.Checks != wer.Checks {
 				t.Errorf("%s/%s: MemoGlobal checks = %s, MemoNone = %s",
-					sig, ev, ger.Checks, wer.Checks)
+					sig, ev, ger.Checks.StringIn(secmodel.SecurityManager()), wer.Checks.StringIn(secmodel.SecurityManager()))
 			}
 		}
 	}
@@ -152,7 +152,7 @@ func TestMemoNotPollutedByRecursionCutoff(t *testing.T) {
 	}
 	op0 := eventResult(t, bRes, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
 	if op0.Checks != setOf(t, "checkRead", 1) {
-		t.Errorf("b's op0 checks = %s, want %s", op0.Checks, setOf(t, "checkRead", 1))
+		t.Errorf("b's op0 checks = %s, want %s", op0.Checks.StringIn(secmodel.SecurityManager()), setOf(t, "checkRead", 1).StringIn(secmodel.SecurityManager()))
 	}
 }
 
@@ -179,7 +179,7 @@ public class SR {
 		r := analyzeOne(t, cfg, "java.lang.SR", "walk", src)
 		nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
 		if nat.Checks != setOf(t, "checkRead", 1) {
-			t.Errorf("bound %d: checks = %s", bound, nat.Checks)
+			t.Errorf("bound %d: checks = %s", bound, nat.Checks.StringIn(secmodel.SecurityManager()))
 		}
 	}
 }

@@ -8,7 +8,8 @@
 // security logic often enforces MAY policies (Figure 1: no single check
 // dominates all paths), so a must-dominance verifier flags correct
 // implementations, and the manual policy itself can silently omit rare
-// check-event pairs.
+// check-event pairs. Like the verifiers it models, cmv is a JCL baseline:
+// requirements name checks of the SecurityManager domain.
 package cmv
 
 import (
@@ -35,7 +36,7 @@ type Requirement struct {
 
 func (r Requirement) String() string {
 	return fmt.Sprintf("%s must dominate %q events of %q entries",
-		secmodel.CheckName(r.Check), r.EventSubstr, r.EntrySubstr)
+		secmodel.SecurityManager().CheckName(r.Check), r.EventSubstr, r.EntrySubstr)
 }
 
 // Violation is one event not dominated by the required check.
@@ -55,7 +56,7 @@ func (v Violation) String() string {
 		qualifier = "on some paths only"
 	}
 	return fmt.Sprintf("%s: event %s lacks %s (%s)",
-		v.Entry, v.Event, secmodel.CheckName(v.Req.Check), qualifier)
+		v.Entry, v.Event, secmodel.SecurityManager().CheckName(v.Req.Check), qualifier)
 }
 
 // Verify checks the manual policy against the extracted policies of one

@@ -21,7 +21,7 @@ func extract(t testing.TB, name string, srcs map[string]string) *oracle.Library 
 
 func req(t testing.TB, check string, arity int, entry, event string) Requirement {
 	t.Helper()
-	id, ok := secmodel.CheckByName(check, arity)
+	id, ok := secmodel.SecurityManager().CheckByName(check, arity)
 	if !ok {
 		t.Fatalf("unknown check %s/%d", check, arity)
 	}
@@ -72,7 +72,7 @@ func TestCMVIncompletePolicyMissesBug(t *testing.T) {
 	reqs := []Requirement{req(t, "checkConnect", 2, "DatagramSocket.connect", "native:connect0")}
 	vs := Verify(l.Policies, reqs)
 	for _, v := range vs {
-		if secmodel.CheckName(v.Req.Check) == "checkAccept" {
+		if secmodel.SecurityManager().CheckName(v.Req.Check) == "checkAccept" {
 			t.Errorf("impossible: policy had no checkAccept requirement: %s", v)
 		}
 	}

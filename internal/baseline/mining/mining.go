@@ -60,6 +60,8 @@ type Rule struct {
 	Package    string           // GroupProtected: the package
 	Support    int
 	Confidence float64
+
+	dom *secmodel.Domain // names A and B
 }
 
 func (r Rule) String() string {
@@ -69,7 +71,7 @@ func (r Rule) String() string {
 			r.Package, r.Support, r.Confidence)
 	default:
 		return fmt.Sprintf("%s implies %s (support %d, conf %.2f)",
-			secmodel.CheckName(r.A), secmodel.CheckName(r.B), r.Support, r.Confidence)
+			r.dom.CheckName(r.A), r.dom.CheckName(r.B), r.Support, r.Confidence)
 	}
 }
 
@@ -94,12 +96,18 @@ type entryFacts struct {
 // Miner mines one implementation's extracted policies.
 type Miner struct {
 	cfg   Config
+	dom   *secmodel.Domain
 	facts []entryFacts
 }
 
-// New builds a miner over the library's extracted policies.
-func New(pp *policy.ProgramPolicies, cfg Config) *Miner {
-	m := &Miner{cfg: cfg}
+// New builds a miner over the library's extracted policies. Mined rules
+// name checks in the policies' domain.
+func New(pp *policy.ProgramPolicies, cfg Config) (*Miner, error) {
+	dom, err := pp.DomainModel()
+	if err != nil {
+		return nil, fmt.Errorf("mining: %w", err)
+	}
+	m := &Miner{cfg: cfg, dom: dom}
 	for _, sig := range pp.SortedEntries() {
 		ep := pp.Entries[sig]
 		f := entryFacts{sig: sig, pkg: packageOf(sig)}
@@ -111,7 +119,7 @@ func New(pp *policy.ProgramPolicies, cfg Config) *Miner {
 		}
 		m.facts = append(m.facts, f)
 	}
-	return m
+	return m, nil
 }
 
 func packageOf(sig string) string {
@@ -161,7 +169,7 @@ func (m *Miner) Mine() []Rule {
 			}
 			conf := float64(both) / float64(len(base))
 			if both >= m.cfg.MinSupport && conf >= m.cfg.MinConfidence && conf < 1.0 {
-				rules = append(rules, Rule{Kind: CheckImplies, A: a, B: b, Support: both, Confidence: conf})
+				rules = append(rules, Rule{Kind: CheckImplies, A: a, B: b, Support: both, Confidence: conf, dom: m.dom})
 			}
 		}
 	}

@@ -7,8 +7,18 @@ import (
 	"policyoracle/internal/corpus"
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/oracle"
+	"policyoracle/internal/policy"
 	"policyoracle/internal/secmodel"
 )
+
+func mustNew(t testing.TB, pp *policy.ProgramPolicies, cfg Config) *Miner {
+	t.Helper()
+	m, err := New(pp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func extract(t testing.TB, name string, srcs map[string]string) *oracle.Library {
 	t.Helper()
@@ -26,8 +36,8 @@ func extract(t testing.TB, name string, srcs map[string]string) *oracle.Library 
 // silent — while the oracle reports it (see corpus tests).
 func TestMinerMissesRarePattern(t *testing.T) {
 	l := extract(t, "harmony", corpus.HarmonySources())
-	m := New(l.Policies, DefaultConfig())
-	accept, _ := secmodel.CheckByName("checkAccept", 2)
+	m := mustNew(t, l.Policies, DefaultConfig())
+	accept, _ := secmodel.SecurityManager().CheckByName("checkAccept", 2)
 	for _, v := range m.FindViolations() {
 		if strings.Contains(v.Entry, "DatagramSocket.connect") && v.Rule.B == accept {
 			t.Errorf("miner unexpectedly found the rare-pattern bug: %s", v)
@@ -44,8 +54,8 @@ func TestMinerThresholdTradeoff(t *testing.T) {
 	c := gen.Generate(gen.Small())
 	l := extract(t, "jdk", c.Sources["jdk"])
 
-	strict := New(l.Policies, Config{MinSupport: 5, MinConfidence: 0.95}).FindViolations()
-	loose := New(l.Policies, Config{MinSupport: 2, MinConfidence: 0.55}).FindViolations()
+	strict := mustNew(t, l.Policies, Config{MinSupport: 5, MinConfidence: 0.95}).FindViolations()
+	loose := mustNew(t, l.Policies, Config{MinSupport: 2, MinConfidence: 0.55}).FindViolations()
 	if len(loose) < len(strict) {
 		t.Errorf("lowering thresholds should not reduce violations: strict=%d loose=%d",
 			len(strict), len(loose))
@@ -72,7 +82,7 @@ func TestMinerVsOracleOnSeededCorpus(t *testing.T) {
 	// Miner: run per implementation, union violations.
 	minerHits := map[string]bool{}
 	for _, l := range libs {
-		m := New(l.Policies, DefaultConfig())
+		m := mustNew(t, l.Policies, DefaultConfig())
 		for _, v := range m.FindViolations() {
 			minerHits[v.Entry] = true
 		}
@@ -98,8 +108,8 @@ func TestMinerVsOracleOnSeededCorpus(t *testing.T) {
 
 func TestMinedRulesAreDeterministic(t *testing.T) {
 	l := extract(t, "jdk", corpus.JDKSources())
-	a := New(l.Policies, Config{MinSupport: 1, MinConfidence: 0.5}).Mine()
-	b := New(l.Policies, Config{MinSupport: 1, MinConfidence: 0.5}).Mine()
+	a := mustNew(t, l.Policies, Config{MinSupport: 1, MinConfidence: 0.5}).Mine()
+	b := mustNew(t, l.Policies, Config{MinSupport: 1, MinConfidence: 0.5}).Mine()
 	if len(a) != len(b) {
 		t.Fatalf("rule counts differ: %d vs %d", len(a), len(b))
 	}
@@ -107,6 +117,38 @@ func TestMinedRulesAreDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("rule %d differs: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestMinedRulesNameChecksInPoliciesDomain: rules mined from crypto
+// policies name CryptoGuard checks, not the SecurityManager checks that
+// share their IDs.
+func TestMinedRulesNameChecksInPoliciesDomain(t *testing.T) {
+	c := gen.Generate(gen.CryptoSmall())
+	l, err := oracle.LoadLibrary("jdk", c.Sources["jdk"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := oracle.DefaultOptions()
+	opts.Domain = secmodel.CryptoAPI()
+	l.Extract(opts)
+	crypto := map[string]bool{}
+	for _, name := range secmodel.CryptoAPI().AllCheckNames() {
+		crypto[name] = true
+	}
+	implies := 0
+	for _, r := range mustNew(t, l.Policies, Config{MinSupport: 1, MinConfidence: 0.1}).Mine() {
+		if r.Kind != CheckImplies {
+			continue
+		}
+		implies++
+		f := strings.Fields(r.String())
+		if !crypto[f[0]] || !crypto[f[2]] {
+			t.Errorf("rule %q names a check outside the crypto domain", r)
+		}
+	}
+	if implies == 0 {
+		t.Fatal("no check-implies rule mined from the crypto corpus")
 	}
 }
 

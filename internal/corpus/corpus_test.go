@@ -79,7 +79,7 @@ func TestAllKnownIssuesDetected(t *testing.T) {
 			is := ClassifyGroup(g, pair, false)
 			if is == nil {
 				t.Errorf("%s vs %s: unlabeled difference: %s checks %s entries %v",
-					pair[0], pair[1], g.Case, g.DiffChecks, g.Entries)
+					pair[0], pair[1], g.Case, g.DiffChecks.StringIn(secmodel.SecurityManager()), g.Entries)
 				continue
 			}
 			found[is.ID] = true
@@ -216,10 +216,10 @@ func TestFigure2PathPolicies(t *testing.T) {
 		t.Fatal("return event missing")
 	}
 	if len(ret.Paths.Sets) != 2 {
-		t.Errorf("JDK path alternatives = %s, want the two of Figure 2", ret.Paths)
+		t.Errorf("JDK path alternatives = %s, want the two of Figure 2", ret.Paths.StringIn(secmodel.SecurityManager()))
 	}
 	if !ret.Must.IsEmpty() {
-		t.Errorf("JDK must = %s, want {} per Figure 2", ret.Must)
+		t.Errorf("JDK must = %s, want {} per Figure 2", ret.Must.StringIn(secmodel.SecurityManager()))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"policyoracle/internal/analysis"
 	"policyoracle/internal/diff"
 	"policyoracle/internal/oracle"
+	"policyoracle/internal/secmodel"
 )
 
 func mustDiff(t testing.TB, a, b *oracle.Library) *diff.Report {
@@ -117,7 +118,7 @@ func TestOracleFindsAllSeededIssues(t *testing.T) {
 				}
 			}
 			if !matched {
-				t.Errorf("%v: unseeded difference: %s %s entries %v", pr, g.Case, g.DiffChecks, g.Entries[:min(3, len(g.Entries))])
+				t.Errorf("%v: unseeded difference: %s %s entries %v", pr, g.Case, g.DiffChecks.StringIn(secmodel.SecurityManager()), g.Entries[:min(3, len(g.Entries))])
 			}
 		}
 	}
@@ -354,8 +355,9 @@ func TestFNConditionDivergencePoliciesAgree(t *testing.T) {
 					continue
 				}
 				if evp.May != bevp.May || evp.Must != bevp.Must {
+					sm := secmodel.SecurityManager()
 					t.Errorf("%s/%s: policies differ (%s/%s vs %s/%s) — FN seed broken",
-						sig, ev, evp.Must, evp.May, bevp.Must, bevp.May)
+						sig, ev, evp.Must.StringIn(sm), evp.May.StringIn(sm), bevp.Must.StringIn(sm), bevp.May.StringIn(sm))
 				}
 				if ev.Kind == 0 && evp.May.IsEmpty() { // native event
 					t.Errorf("%s: FN method has no MAY check at all", sig)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"policyoracle/internal/diff"
+	"policyoracle/internal/secmodel"
 )
 
 // VerifyReport checks one implementation pair's diff report against the
@@ -21,6 +22,10 @@ import (
 // the sources and re-diff — the metamorphic fuzzer asserts that seeded
 // deviations survive semantics-preserving mutation.
 func (c *Corpus) VerifyReport(pair [2]string, rep *diff.Report) []string {
+	dom, err := secmodel.ResolveDomain(rep.Domain)
+	if err != nil {
+		return []string{fmt.Sprintf("%v: %v", pair, err)}
+	}
 	var problems []string
 	found := map[string]bool{}
 	for _, g := range rep.Groups {
@@ -53,7 +58,7 @@ func (c *Corpus) VerifyReport(pair [2]string, rep *diff.Report) []string {
 			}
 			problems = append(problems, fmt.Sprintf(
 				"%v: unseeded difference %s %s at %v",
-				pair, g.Case, g.DiffChecks, g.Entries[:n]))
+				pair, g.Case, g.DiffChecks.StringIn(dom), g.Entries[:n]))
 		}
 	}
 	for i := range c.Issues {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"policyoracle/internal/diff"
+	"policyoracle/internal/secmodel"
 )
 
 // Kind classifies a known difference between the corpus implementations,
@@ -50,7 +51,8 @@ type Issue struct {
 }
 
 // Matches reports whether group g (from comparing the libraries in pair)
-// is this issue.
+// is this issue. The hand-written corpus is SecurityManager code, so
+// MatchCheck is a check name of that domain.
 func (is *Issue) Matches(g *diff.Group, pair [2]string) bool {
 	if !is.appliesTo(pair) {
 		return false
@@ -65,7 +67,7 @@ func (is *Issue) Matches(g *diff.Group, pair [2]string) bool {
 	if !found {
 		return false
 	}
-	if is.MatchCheck != "" && !strings.Contains(g.DiffChecks.String(), is.MatchCheck) {
+	if is.MatchCheck != "" && !strings.Contains(g.DiffChecks.StringIn(secmodel.SecurityManager()), is.MatchCheck) {
 		return false
 	}
 	return true

@@ -10,7 +10,7 @@ import (
 
 func check(t testing.TB, name string, arity int) secmodel.CheckID {
 	t.Helper()
-	id, ok := secmodel.CheckByName(name, arity)
+	id, ok := secmodel.SecurityManager().CheckByName(name, arity)
 	if !ok {
 		t.Fatalf("unknown check %s/%d", name, arity)
 	}
@@ -114,7 +114,7 @@ func TestCase3aCheckMismatch(t *testing.T) {
 		t.Errorf("both sides differ; MissingIn = %q", d.MissingIn)
 	}
 	if d.DiffChecks != set(cr, cw) {
-		t.Errorf("diff checks = %s", d.DiffChecks)
+		t.Errorf("diff checks = %s", d.DiffChecks.StringIn(secmodel.SecurityManager()))
 	}
 	if d.Category != Intraprocedural {
 		t.Errorf("category = %s (both origins in the entry)", d.Category)

@@ -110,7 +110,10 @@ func Baselines(w *Workload) (*BaselineRowSet, error) {
 		}
 		flagged := map[string]bool{}
 		for _, name := range corpus.Libraries() {
-			m := mining.New(libs[name].Policies, s.cfg)
+			m, err := mining.New(libs[name].Policies, s.cfg)
+			if err != nil {
+				return nil, err
+			}
 			for _, v := range m.FindViolations() {
 				flagged[v.Entry] = true
 			}

@@ -7,6 +7,7 @@ import (
 	"policyoracle/internal/analysis"
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/oracle"
+	"policyoracle/internal/secmodel"
 )
 
 func smallWorkload() *Workload {
@@ -84,7 +85,7 @@ func TestTable3ClassifiesEverything(t *testing.T) {
 	for _, pr := range res.Pairs {
 		if len(pr.UnclassifiedGroups) != 0 {
 			for _, g := range pr.UnclassifiedGroups {
-				t.Errorf("%v: unclassified group: %s %s %v", pr.Pair, g.Case, g.DiffChecks, g.Entries)
+				t.Errorf("%v: unclassified group: %s %s %v", pr.Pair, g.Case, g.DiffChecks.StringIn(secmodel.SecurityManager()), g.Entries)
 			}
 		}
 		if pr.MatchingAPIs == 0 {

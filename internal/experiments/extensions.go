@@ -50,8 +50,12 @@ func Witness(w *Workload) (*WitnessResult, error) {
 				continue
 			}
 			row.VulnGroups++
+			rs, err := witness.Confirm(a, b, g)
+			if err != nil {
+				return nil, err
+			}
 			confirmed := false
-			for _, r := range witness.Confirm(a.Prog.Types, b.Prog.Types, a.Name, b.Name, g) {
+			for _, r := range rs {
 				if !r.Confirmed {
 					continue
 				}

@@ -201,7 +201,7 @@ class Object { public int hashCode() { return 0; } }
 	p := buildProg(t, map[string]string{"rt.mj": tinyRT, "lib.mj": src})
 	cfg := DefaultConfig(AllowAll())
 	cfg.SynthesizeObjects = false
-	in := New(p, cfg)
+	in := New(p, secmodel.SecurityManager(), cfg)
 	out := in.CallEntry(entryOf(t, p, "api.Bad.m()"))
 	if out.Err == nil {
 		t.Error("expected failure for call on null")
@@ -248,13 +248,5 @@ func TestPermissionsModel(t *testing.T) {
 	p := Deny(read)
 	if p.Permits(read) || !p.Permits(write) {
 		t.Error("Deny wrong")
-	}
-	da := Permissions{DenyAll: true}
-	if da.Permits(read) {
-		t.Error("DenyAll permits")
-	}
-	da.Allowed = map[secmodel.CheckID]bool{read: true}
-	if !da.Permits(read) || da.Permits(write) {
-		t.Error("Allowed override wrong")
 	}
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"policyoracle/internal/ast"
-	"policyoracle/internal/secmodel"
 	"policyoracle/internal/types"
 )
 
@@ -65,8 +64,8 @@ func (in *Interp) invoke(m *types.Method, recv Value, args []Value) Value {
 	}
 
 	// Security checks are intercepted: they consult the permission set.
-	if id, ok := identifyCheckMethod(m); ok {
-		name := secmodel.CheckName(id)
+	if id, ok := in.dom.CheckByName(m.Name, len(m.Params)); ok && in.dom.IsGuardClass(m.Class) {
+		name := in.dom.CheckName(id)
 		switch {
 		case in.priv > 0:
 			in.trace = append(in.trace, Event{CheckPrivileged, name})
@@ -86,7 +85,7 @@ func (in *Interp) invoke(m *types.Method, recv Value, args []Value) Value {
 		return in.zeroOf(m.Ret) // abstract reached via lenient dispatch
 	}
 
-	if secmodel.IsPrivilegedScope(m) {
+	if in.dom.IsPrivilegedScope(m) {
 		in.priv++
 		defer func() { in.priv-- }()
 	}
@@ -105,13 +104,6 @@ func (in *Interp) invoke(m *types.Method, recv Value, args []Value) Value {
 		return v
 	}
 	return nil
-}
-
-func identifyCheckMethod(m *types.Method) (secmodel.CheckID, bool) {
-	if !isSecurityManagerClass(m.Class) {
-		return 0, false
-	}
-	return secmodel.CheckByName(m.Name, len(m.Params))
 }
 
 func (in *Interp) execBlock(fr *frame, b *ast.Block) (ctrl, Value) {

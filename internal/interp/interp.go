@@ -1,20 +1,22 @@
 // Package interp is a concrete interpreter for MJ used to witness security
 // holes dynamically: it executes an API entry point under an installed
-// SecurityManager whose permissions the harness controls, records every
-// security check and native (JNI) call, and throws SecurityException when
-// a check is denied — so a missing check manifests as a sensitive native
-// call executing where the correct implementation throws.
+// guard object of a check domain (the SecurityManager in the default
+// domain) whose permissions the harness controls, records every security
+// check and native (JNI) call, and throws SecurityException when a check
+// is denied — so a missing check manifests as a sensitive native call
+// executing where the correct implementation throws.
 //
 // The interpreter implements the Java-like semantics the corpus relies on:
 // objects with fields, virtual dispatch on runtime classes, constructors,
-// exceptions with try/catch/finally, privileged blocks (checks inside
-// AccessController.doPrivileged always pass), and short-circuit booleans.
-// Native methods are intercepted: they record a trace event and return a
-// zero value. To drive library code without a test harness providing real
-// collaborators, the interpreter synthesizes objects on demand: reference-
-// typed parameters and null reference-typed fields are lazily instantiated
-// (SecurityManager-typed fields receive the installed manager). This keeps
-// execution on the paths the static analysis reasons about.
+// exceptions with try/catch/finally, the domain's privileged blocks
+// (checks inside AccessController.doPrivileged always pass), and
+// short-circuit booleans. Native methods are intercepted: they record a
+// trace event and return a zero value. To drive library code without a
+// test harness providing real collaborators, the interpreter synthesizes
+// objects on demand: reference-typed parameters and null reference-typed
+// fields are lazily instantiated (guard-class-typed fields receive the
+// installed guard object). This keeps execution on the paths the static
+// analysis reasons about.
 package interp
 
 import (
@@ -52,12 +54,8 @@ type Array struct {
 
 // Permissions decides which security checks pass.
 type Permissions struct {
-	// DenyAll fails every check except those explicitly allowed.
-	DenyAll bool
-	// Denied fails the listed checks (ignored under DenyAll).
+	// Denied fails the listed checks; every other check passes.
 	Denied map[secmodel.CheckID]bool
-	// Allowed overrides DenyAll for specific checks.
-	Allowed map[secmodel.CheckID]bool
 }
 
 // AllowAll grants every permission.
@@ -73,12 +71,7 @@ func Deny(ids ...secmodel.CheckID) Permissions {
 }
 
 // Permits reports whether the check passes.
-func (p Permissions) Permits(id secmodel.CheckID) bool {
-	if p.DenyAll {
-		return p.Allowed[id]
-	}
-	return !p.Denied[id]
-}
+func (p Permissions) Permits(id secmodel.CheckID) bool { return !p.Denied[id] }
 
 // EventKind classifies trace events.
 type EventKind int
@@ -87,7 +80,7 @@ type EventKind int
 const (
 	CheckPassed EventKind = iota
 	CheckDenied
-	CheckPrivileged // a check inside doPrivileged (always passes)
+	CheckPrivileged // a check in the domain's privileged scope (always passes)
 	NativeCalled
 )
 
@@ -172,26 +165,29 @@ func DefaultConfig(perms Permissions) Config {
 // Interp executes MJ methods of one program.
 type Interp struct {
 	prog    *types.Program
+	dom     *secmodel.Domain
 	cfg     Config
 	statics map[string]Value // ClassFQN.field
-	sm      *Object          // the installed SecurityManager instance
+	guard   *Object          // the installed guard object of dom
 	trace   []Event
 	fuel    int
 	priv    int // privileged-block nesting depth
 	depth   int // activation nesting
 }
 
-// New prepares an interpreter.
-func New(prog *types.Program, cfg Config) *Interp {
+// New prepares an interpreter for prog under check domain dom: dom names
+// the checks it intercepts, the guard class whose instance it installs,
+// and the privileged scope in which checks always pass.
+func New(prog *types.Program, dom *secmodel.Domain, cfg Config) *Interp {
 	if cfg.Fuel <= 0 {
 		cfg.Fuel = 100000
 	}
 	if cfg.MaxCallDepth <= 0 {
 		cfg.MaxCallDepth = 512
 	}
-	in := &Interp{prog: prog, cfg: cfg, statics: make(map[string]Value), fuel: cfg.Fuel}
-	if smClass := prog.Lookup(secmodel.SecurityManagerClass, nil); smClass != nil {
-		in.sm = in.newObject(smClass)
+	in := &Interp{prog: prog, dom: dom, cfg: cfg, statics: make(map[string]Value), fuel: cfg.Fuel}
+	if gc := prog.Lookup(dom.GuardClass(), nil); gc != nil {
+		in.guard = in.newObject(gc)
 	}
 	return in
 }
@@ -294,11 +290,11 @@ func (in *Interp) synthesizeValue(t types.Type) Value {
 }
 
 // synthesizeOf instantiates a class (or a concrete implementor for
-// interfaces/abstract classes). SecurityManager-typed values are the
-// installed manager; String-typed values are a dummy string.
+// interfaces/abstract classes). Guard-class-typed values are the installed
+// guard object; String-typed values are a dummy string.
 func (in *Interp) synthesizeOf(c *types.Class) Value {
-	if isSecurityManagerClass(c) && in.sm != nil {
-		return in.sm
+	if in.guard != nil && in.dom.IsGuardClass(c) {
+		return in.guard
 	}
 	if c.Simple == "String" {
 		return "synth"
@@ -337,15 +333,6 @@ func (in *Interp) syntheticZero(t types.Type) Value {
 		return int64(1)
 	}
 	return v
-}
-
-func isSecurityManagerClass(c *types.Class) bool {
-	for k := c; k != nil; k = k.Super {
-		if k.Simple == secmodel.SecurityManagerClass {
-			return true
-		}
-	}
-	return false
 }
 
 // throwSecurity raises an MJ SecurityException (or a plain Exception when

@@ -38,7 +38,7 @@ func entryOf(t testing.TB, p *types.Program, sig string) *types.Method {
 
 func checkID(t testing.TB, name string, arity int) secmodel.CheckID {
 	t.Helper()
-	id, ok := secmodel.CheckByName(name, arity)
+	id, ok := secmodel.SecurityManager().CheckByName(name, arity)
 	if !ok {
 		t.Fatalf("unknown check %s/%d", name, arity)
 	}
@@ -62,7 +62,7 @@ public class SecurityManager {
 func run(t testing.TB, perms Permissions, sig string, extra string) *Outcome {
 	t.Helper()
 	p := buildProg(t, map[string]string{"rt.mj": tinyRT, "lib.mj": extra})
-	in := New(p, DefaultConfig(perms))
+	in := New(p, secmodel.SecurityManager(), DefaultConfig(perms))
 	return in.CallEntry(entryOf(t, p, sig))
 }
 
@@ -172,7 +172,7 @@ class ReadAction implements PrivilegedAction {
   }
 }
 `})
-	in := New(p, DefaultConfig(Deny(checkID(t, "checkRead", 1))))
+	in := New(p, secmodel.SecurityManager(), DefaultConfig(Deny(checkID(t, "checkRead", 1))))
 	out := in.CallEntry(entryOf(t, p, "api.P.go(String)"))
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -320,7 +320,7 @@ public class L {
 	p := buildProg(t, map[string]string{"rt.mj": tinyRT, "lib.mj": src})
 	cfg := DefaultConfig(AllowAll())
 	cfg.Fuel = 1000
-	in := New(p, cfg)
+	in := New(p, secmodel.SecurityManager(), cfg)
 	out := in.CallEntry(entryOf(t, p, "api.L.spin()"))
 	if out.Err == nil {
 		t.Error("expected fuel exhaustion")
@@ -379,7 +379,7 @@ func TestFigure1WitnessedDynamically(t *testing.T) {
 	const entry = "java.net.DatagramSocket.connect(InetAddress,int)"
 
 	jdkProg := buildProg(t, corpus.JDKSources())
-	jdkOut := New(jdkProg, DefaultConfig(deny)).CallEntry(entryOf(t, jdkProg, entry))
+	jdkOut := New(jdkProg, secmodel.SecurityManager(), DefaultConfig(deny)).CallEntry(entryOf(t, jdkProg, entry))
 	if jdkOut.Err != nil {
 		t.Fatal(jdkOut.Err)
 	}
@@ -391,7 +391,7 @@ func TestFigure1WitnessedDynamically(t *testing.T) {
 	}
 
 	harmonyProg := buildProg(t, corpus.HarmonySources())
-	harmonyOut := New(harmonyProg, DefaultConfig(deny)).CallEntry(entryOf(t, harmonyProg, entry))
+	harmonyOut := New(harmonyProg, secmodel.SecurityManager(), DefaultConfig(deny)).CallEntry(entryOf(t, harmonyProg, entry))
 	if harmonyOut.Err != nil {
 		t.Fatal(harmonyOut.Err)
 	}

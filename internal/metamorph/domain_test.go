@@ -1,12 +1,14 @@
 package metamorph_test
 
 import (
+	"strings"
 	"testing"
 
 	"policyoracle/internal/campaign"
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/metamorph"
 	"policyoracle/internal/oracle"
+	"policyoracle/internal/policy"
 	"policyoracle/internal/secmodel"
 )
 
@@ -105,5 +107,45 @@ func TestGuardClassFrozen(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("crypto corpus bundle has no CryptoGuard prelude file")
+	}
+}
+
+// TestCryptoViolationDetailsNameCryptoChecks: violation details render
+// check sets in the policies' domain. Crypto checkHostnameVerified and
+// checkIvFresh have IDs 4 and 5, which the SecurityManager table names
+// checkConnect/2 and checkConnect/3; rendered there, two distinct
+// MUST ⊄ MAY violations read alike and triage merges them into one
+// crasher.
+func TestCryptoViolationDetailsNameCryptoChecks(t *testing.T) {
+	srcs := gen.Generate(gen.CryptoSmall()).Sources["jdk"]
+	opts := cryptoOracleOptions()
+	fingerprints := map[string]string{}
+	for _, c := range []secmodel.CheckDesc{{Name: "checkHostnameVerified", Arity: 2}, {Name: "checkIvFresh", Arity: 1}} {
+		id, ok := secmodel.CryptoAPI().CheckByName(c.Name, c.Arity)
+		if !ok {
+			t.Fatalf("no crypto check %s/%d", c.Name, c.Arity)
+		}
+		lib, err := oracle.LoadLibrary("jdk", srcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib.Extract(opts)
+		// Break MUST ⊆ MAY at the first event the invariant walks.
+		ep := lib.Policies.Entries[lib.Policies.SortedEntries()[0]]
+		evp := ep.Events[ep.SortedEvents()[0]]
+		evp.May = evp.May.Minus(policy.Empty.With(id))
+		evp.Must = evp.Must.With(id)
+
+		vs := metamorph.CheckExtracted(lib, lib, srcs, opts, metamorph.MutantChecks{})
+		if len(vs) != 1 || vs[0].Invariant != "must-subset-may" {
+			t.Fatalf("%s: violations = %v, want one must-subset-may", c.Name, vs)
+		}
+		if want := "MUST has {" + c.Name + "} beyond MAY"; !strings.Contains(vs[0].Detail, want) {
+			t.Errorf("detail %q does not contain %q", vs[0].Detail, want)
+		}
+		fingerprints[campaign.Fingerprint(vs[0])] = c.Name
+	}
+	if len(fingerprints) != 2 {
+		t.Errorf("distinct crypto violations share a crasher fingerprint: %v", fingerprints)
 	}
 }

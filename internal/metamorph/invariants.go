@@ -138,6 +138,7 @@ func CheckExtracted(base, lib *oracle.Library, mutated map[string]string, serial
 	fail := func(invariant, detail string) {
 		violations = append(violations, Violation{Invariant: invariant, Detail: detail})
 	}
+	dom := serial.Normalize().Domain // the domain base and lib were extracted under
 
 	// (a) Diff clean, both directions, over an unchanged entry set.
 	if nb, nm := len(base.EntryPoints()), len(lib.EntryPoints()); nb != nm {
@@ -152,7 +153,7 @@ func CheckExtracted(base, lib *oracle.Library, mutated map[string]string, serial
 		if len(dr.Groups) > 0 {
 			violations = append(violations, Violation{
 				Invariant: "diff-clean",
-				Detail:    describeGroups(dr),
+				Detail:    describeGroups(dr, dom),
 				RootKeys:  groupRootKeys(dr),
 			})
 			break
@@ -160,7 +161,7 @@ func CheckExtracted(base, lib *oracle.Library, mutated map[string]string, serial
 	}
 
 	// (b) MUST ⊆ MAY everywhere.
-	if v := checkMustSubsetMay(lib.Policies); v != "" {
+	if v := checkMustSubsetMay(lib.Policies, dom); v != "" {
 		fail("must-subset-may", v)
 	}
 
@@ -278,14 +279,14 @@ func checkIncremental(name string, mutated map[string]string, base *oracle.Libra
 }
 
 // checkMustSubsetMay returns a description of the first MUST ⊄ MAY
-// violation in pp, or "".
-func checkMustSubsetMay(pp *policy.ProgramPolicies) string {
+// violation in pp, naming checks in pp's domain dom, or "".
+func checkMustSubsetMay(pp *policy.ProgramPolicies, dom *secmodel.Domain) string {
 	for _, sig := range pp.SortedEntries() {
 		ep := pp.Entries[sig]
 		for _, ev := range ep.SortedEvents() {
 			evp := ep.Events[ev]
 			if extra := evp.Must.Minus(evp.May); !extra.IsEmpty() {
-				return fmt.Sprintf("%s %v: MUST has %s beyond MAY", sig, ev, extra)
+				return fmt.Sprintf("%s %v: MUST has %s beyond MAY", sig, ev, extra.StringIn(dom))
 			}
 		}
 	}
@@ -293,8 +294,8 @@ func checkMustSubsetMay(pp *policy.ProgramPolicies) string {
 }
 
 // describeGroups renders a spurious diff report compactly for a
-// violation detail.
-func describeGroups(dr *diff.Report) string {
+// violation detail, naming checks in the report's domain dom.
+func describeGroups(dr *diff.Report, dom *secmodel.Domain) string {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "%d spurious group(s) between %s and %s:", len(dr.Groups), dr.LibA, dr.LibB)
 	for i, g := range dr.Groups {
@@ -306,7 +307,7 @@ func describeGroups(dr *diff.Report) string {
 		if len(g.Entries) > 0 {
 			entry = " at " + g.Entries[0]
 		}
-		fmt.Fprintf(&buf, " [%s %s checks=%s%s]", g.Case, g.Category, g.DiffChecks, entry)
+		fmt.Fprintf(&buf, " [%s %s checks=%s%s]", g.Case, g.Category, g.DiffChecks.StringIn(dom), entry)
 	}
 	return buf.String()
 }

@@ -380,7 +380,6 @@ func (l *Library) extract(ctx context.Context, opts Options, seed *SummaryCache)
 		}
 		for ev := range events {
 			evp := ep.EventPolicyFor(ev)
-			evp.Must = policy.Empty
 			if r := mustRes[sig]; r != nil {
 				if er, ok := r.Events[ev]; ok {
 					evp.Must = er.Checks

@@ -66,7 +66,7 @@ func TestLoadAndExtract(t *testing.T) {
 		t.Fatal("put policy missing")
 	}
 	ret := ep.Events[secmodel.ReturnEvent()]
-	if ret == nil || ret.Must.String() != "{checkWrite}" {
+	if ret == nil || ret.Must.StringIn(secmodel.SecurityManager()) != "{checkWrite}" {
 		t.Errorf("put return policy = %+v", ret)
 	}
 	if l.MayTime <= 0 || l.MustTime <= 0 {
@@ -193,12 +193,12 @@ func TestExtractMustOnlyMode(t *testing.T) {
 	l.Extract(opts)
 	ep := l.Policies.Entries["api.Store.put(String)"]
 	ret := ep.Events[secmodel.ReturnEvent()]
-	if ret.Must.String() != "{checkWrite}" {
-		t.Errorf("must = %s", ret.Must)
+	if ret.Must.StringIn(secmodel.SecurityManager()) != "{checkWrite}" {
+		t.Errorf("must = %s", ret.Must.StringIn(secmodel.SecurityManager()))
 	}
 	// Must-only extraction mirrors must into may for display.
-	if ret.May.String() != "{checkWrite}" {
-		t.Errorf("may mirror = %s", ret.May)
+	if ret.May.StringIn(secmodel.SecurityManager()) != "{checkWrite}" {
+		t.Errorf("may mirror = %s", ret.May.StringIn(secmodel.SecurityManager()))
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 
 func samplePolicies(t *testing.T) *ProgramPolicies {
 	t.Helper()
-	read, _ := secmodel.CheckByName("checkRead", 1)
-	conn2, _ := secmodel.CheckByName("checkConnect", 2)
-	conn3, _ := secmodel.CheckByName("checkConnect", 3)
+	read, _ := secmodel.SecurityManager().CheckByName("checkRead", 1)
+	conn2, _ := secmodel.SecurityManager().CheckByName("checkConnect", 2)
+	conn3, _ := secmodel.SecurityManager().CheckByName("checkConnect", 3)
 	pp := NewProgramPolicies("vendor")
 	ep := NewEntryPolicy("api.F.m(String)")
 	ret := ep.EventPolicyFor(secmodel.ReturnEvent())
@@ -52,13 +52,13 @@ func TestExportImportRoundtrip(t *testing.T) {
 			}
 			if gevp.Must != evp.Must || gevp.May != evp.May {
 				t.Errorf("%s/%s: must/may differ: %s/%s vs %s/%s",
-					sig, ev, gevp.Must, gevp.May, evp.Must, evp.May)
+					sig, ev, gevp.Must.StringIn(sm), gevp.May.StringIn(sm), evp.Must.StringIn(sm), evp.May.StringIn(sm))
 			}
 		}
 	}
 	// Origins survive: the root-cause grouping of diff reports depends on
 	// them even for imported policies.
-	read, _ := secmodel.CheckByName("checkRead", 1)
+	read, _ := secmodel.SecurityManager().CheckByName("checkRead", 1)
 	gep := got.Entries["api.F.m(String)"]
 	origins := gep.Events[secmodel.ReturnEvent()].OriginsOf(read)
 	if len(origins) != 1 || origins[0] != "api.F.helper()" {
@@ -93,8 +93,8 @@ func TestImportRejectsBadInput(t *testing.T) {
 }
 
 func TestWireDistinguishesOverloads(t *testing.T) {
-	conn2, _ := secmodel.CheckByName("checkConnect", 2)
-	conn3, _ := secmodel.CheckByName("checkConnect", 3)
+	conn2, _ := secmodel.SecurityManager().CheckByName("checkConnect", 2)
+	conn3, _ := secmodel.SecurityManager().CheckByName("checkConnect", 3)
 	w2, err2 := checkToWire(secmodel.SecurityManager(), conn2)
 	w3, err3 := checkToWire(secmodel.SecurityManager(), conn3)
 	if err2 != nil || err3 != nil {
@@ -120,14 +120,14 @@ func TestWireDistinguishesOverloads(t *testing.T) {
 // check: the wire arity comes from the secmodel table, so no check may
 // serialize to a form the importer rejects.
 func TestWireRoundTripAllChecks(t *testing.T) {
-	for id := secmodel.CheckID(0); id < secmodel.NumChecks; id++ {
+	for id := secmodel.CheckID(0); int(id) < secmodel.SecurityManager().NumChecks(); id++ {
 		w, err := checkToWire(secmodel.SecurityManager(), id)
 		if err != nil {
-			t.Fatalf("check %s (id %d): export: %v", secmodel.CheckName(id), id, err)
+			t.Fatalf("check %s (id %d): export: %v", secmodel.SecurityManager().CheckName(id), id, err)
 		}
 		got, err := checkFromWire(secmodel.SecurityManager(), w)
 		if err != nil {
-			t.Fatalf("check %s (wire %q): import: %v", secmodel.CheckName(id), w, err)
+			t.Fatalf("check %s (wire %q): import: %v", secmodel.SecurityManager().CheckName(id), w, err)
 		}
 		if got != id {
 			t.Errorf("check %s: round-trip = id %d, want %d", w, got, id)
@@ -139,7 +139,7 @@ func TestWireRoundTripAllChecks(t *testing.T) {
 // fail at export time, not silently emit "name/-1" for re-import to trip
 // over.
 func TestWireRejectsUnknownCheckID(t *testing.T) {
-	for _, id := range []secmodel.CheckID{-1, secmodel.NumChecks, 999} {
+	for _, id := range []secmodel.CheckID{-1, secmodel.CheckID(secmodel.SecurityManager().NumChecks()), 999} {
 		if w, err := checkToWire(secmodel.SecurityManager(), id); err == nil {
 			t.Errorf("checkToWire(secmodel.SecurityManager(), %d) = %q, want error", id, w)
 		}

@@ -1,7 +1,7 @@
 // Package policy defines security-policy values: per-event MAY and MUST
-// check sets, the bounded path-policy enrichment displayed in the paper's
-// Figure 2, and the rules for combining multiple occurrences of the same
-// event (intersection for MUST, union for MAY — Section 5).
+// check sets and the bounded path-policy enrichment displayed in the
+// paper's Figure 2. The analysis combines multiple occurrences of the same
+// event into one policy (intersection for MUST, union for MAY — Section 5).
 package policy
 
 import (
@@ -19,11 +19,6 @@ type CheckSet uint64
 
 // Empty is the empty check set.
 const Empty CheckSet = 0
-
-// Full is the set of all checks of the default (SecurityManager) domain —
-// the MUST analysis' initial value ⊤ there. Domain-generic code uses
-// CheckSet(d.FullMask()) instead.
-var Full = CheckSet((uint64(1) << uint(secmodel.NumChecks)) - 1)
 
 // With returns s with check id added.
 func (s CheckSet) With(id secmodel.CheckID) CheckSet { return s | 1<<uint(id) }
@@ -64,18 +59,8 @@ func (s CheckSet) IDs() []secmodel.CheckID {
 	return out
 }
 
-// String renders the set as sorted check names of the default
-// (SecurityManager) domain. Domain-aware rendering uses StringIn.
-func (s CheckSet) String() string { return secmodel.CheckSetString(uint64(s)) }
-
-// StringIn renders the set as sorted check names of domain d (nil means
-// the default domain).
-func (s CheckSet) StringIn(d *secmodel.Domain) string {
-	if d == nil {
-		d = secmodel.SecurityManager()
-	}
-	return d.CheckSetString(uint64(s))
-}
+// StringIn renders the set as sorted check names of domain d.
+func (s CheckSet) StringIn(d *secmodel.Domain) string { return d.CheckSetString(uint64(s)) }
 
 // ---------------------------------------------------------------------------
 // Path policies (Figure 2's sets of alternative check conjunctions)
@@ -247,21 +232,8 @@ func (p PathSets) Union() CheckSet {
 	return u
 }
 
-// String renders the alternatives as {{...}, {...}}.
-func (p PathSets) String() string {
-	parts := make([]string, len(p.Sets))
-	for i, s := range p.Sets {
-		parts[i] = s.String()
-	}
-	suffix := ""
-	if p.Overflow {
-		suffix = "…"
-	}
-	return "{" + strings.Join(parts, ", ") + suffix + "}"
-}
-
-// StringIn renders the path alternatives with check names resolved in
-// domain d (nil means the default domain, matching String).
+// StringIn renders the alternatives as {{...}, {...}} with check names
+// resolved in domain d.
 func (p PathSets) StringIn(d *secmodel.Domain) string {
 	parts := make([]string, len(p.Sets))
 	for i, s := range p.Sets {
@@ -302,27 +274,10 @@ type EventPolicy struct {
 	// methods whose bodies invoke it on some path to this event, sorted
 	// and deduplicated. Nil until the first AddOrigin.
 	Origins map[secmodel.CheckID][]string
-
-	combined bool
 }
 
 // NewEventPolicy returns an empty policy for ev.
-func NewEventPolicy(ev secmodel.Event) *EventPolicy {
-	return &EventPolicy{Event: ev, Must: Full}
-}
-
-// AddOccurrence combines one occurrence of the event into the policy:
-// MUST sets intersect, MAY sets union (Section 5).
-func (ep *EventPolicy) AddOccurrence(must, may CheckSet, paths PathSets) {
-	ep.Must = ep.Must.Intersect(must)
-	ep.May = ep.May.Union(may)
-	if !ep.combined {
-		ep.Paths = paths
-		ep.combined = true
-	} else {
-		ep.Paths = ep.Paths.Join(paths)
-	}
-}
+func NewEventPolicy(ev secmodel.Event) *EventPolicy { return &EventPolicy{Event: ev} }
 
 // AddOrigin records that check id is invoked in method sig on some path to
 // this event.
@@ -344,11 +299,6 @@ func (ep *EventPolicy) OriginsOf(id secmodel.CheckID) []string {
 
 // HasChecks reports whether any check may precede the event.
 func (ep *EventPolicy) HasChecks() bool { return !ep.May.IsEmpty() }
-
-// String renders the policy in the style of Figure 2.
-func (ep *EventPolicy) String() string {
-	return fmt.Sprintf("MUST %s MAY %s Event: %s", ep.Must, ep.May, ep.Event)
-}
 
 // EntryPolicy aggregates the event policies of one API entry point.
 type EntryPolicy struct {

@@ -9,15 +9,21 @@ import (
 	"policyoracle/internal/secmodel"
 )
 
+// sm is the domain the tests' check IDs index.
+var sm = secmodel.SecurityManager()
+
+// full is the set of every check of sm.
+var full = CheckSet(1)<<uint(sm.NumChecks()) - 1
+
 // mask keeps generated uint64s within the 31-check universe.
-func mask(v uint64) CheckSet { return CheckSet(v) & Full }
+func mask(v uint64) CheckSet { return CheckSet(v) & full }
 
 func TestCheckSetBasics(t *testing.T) {
-	id, _ := secmodel.CheckByName("checkConnect", 2)
-	id2, _ := secmodel.CheckByName("checkAccept", 2)
+	id, _ := sm.CheckByName("checkConnect", 2)
+	id2, _ := sm.CheckByName("checkAccept", 2)
 	s := Empty.With(id)
 	if !s.Has(id) || s.Has(id2) {
-		t.Errorf("With/Has wrong: %s", s)
+		t.Errorf("With/Has wrong: %s", s.StringIn(sm))
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
@@ -32,14 +38,14 @@ func TestCheckSetBasics(t *testing.T) {
 }
 
 func TestCheckSetStringSorted(t *testing.T) {
-	a, _ := secmodel.CheckByName("checkWrite", 1)
-	b, _ := secmodel.CheckByName("checkAccept", 2)
+	a, _ := sm.CheckByName("checkWrite", 1)
+	b, _ := sm.CheckByName("checkAccept", 2)
 	s := Empty.With(a).With(b)
-	if got := s.String(); got != "{checkAccept, checkWrite}" {
-		t.Errorf("String = %q", got)
+	if got := s.StringIn(sm); got != "{checkAccept, checkWrite}" {
+		t.Errorf("StringIn = %q", got)
 	}
-	if Empty.String() != "{}" {
-		t.Errorf("empty = %q", Empty.String())
+	if got := Empty.StringIn(sm); got != "{}" {
+		t.Errorf("empty = %q", got)
 	}
 }
 
@@ -73,7 +79,7 @@ func TestCheckSetLatticeLaws(t *testing.T) {
 	// Identity elements.
 	if err := quick.Check(func(x uint64) bool {
 		a := mask(x)
-		return a.Union(Empty) == a && a.Intersect(Full) == a
+		return a.Union(Empty) == a && a.Intersect(full) == a
 	}, cfg); err != nil {
 		t.Error(err)
 	}
@@ -120,10 +126,10 @@ func TestPathSetsJoinCommutativeAndIdempotent(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p, q := gen(r), gen(r)
 		if !p.Join(q).Equal(q.Join(p)) {
-			t.Fatalf("join not commutative: %s vs %s", p, q)
+			t.Fatalf("join not commutative: %s vs %s", p.StringIn(sm), q.StringIn(sm))
 		}
 		if !p.Join(p).Equal(p) {
-			t.Fatalf("join not idempotent: %s", p)
+			t.Fatalf("join not idempotent: %s", p.StringIn(sm))
 		}
 	}
 }
@@ -135,20 +141,20 @@ func TestPathSetsUnionConsistentWithJoin(t *testing.T) {
 		q := randomPathSets([]uint64{r.Uint64(), r.Uint64(), r.Uint64()})
 		// The flat union of a join equals the union of the flat unions.
 		if p.Join(q).Union() != p.Union().Union(q.Union()) {
-			t.Fatalf("union mismatch: %s ⋈ %s", p, q)
+			t.Fatalf("union mismatch: %s ⋈ %s", p.StringIn(sm), q.StringIn(sm))
 		}
 	}
 }
 
 func TestPathSetsAddCheckAddsToEveryAlternative(t *testing.T) {
-	id, _ := secmodel.CheckByName("checkExit", 1)
+	id, _ := sm.CheckByName("checkExit", 1)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		p := randomPathSets([]uint64{r.Uint64(), r.Uint64(), r.Uint64()})
 		q := p.AddCheck(id)
 		for _, s := range q.Sets {
 			if !s.Has(id) {
-				t.Fatalf("alternative %s missing added check in %s", s, q)
+				t.Fatalf("alternative %s missing added check in %s", s.StringIn(sm), q.StringIn(sm))
 			}
 		}
 	}
@@ -161,7 +167,7 @@ func TestPathSetsCapCollapses(t *testing.T) {
 	}
 	p := randomPathSets(vals)
 	if !p.Overflow {
-		t.Fatalf("expected overflow, got %s", p)
+		t.Fatalf("expected overflow, got %s", p.StringIn(sm))
 	}
 	if len(p.Sets) != 1 {
 		t.Fatalf("expected collapse to union, got %d sets", len(p.Sets))
@@ -171,25 +177,25 @@ func TestPathSetsCapCollapses(t *testing.T) {
 		want = want.Union(mask(v))
 	}
 	if p.Sets[0] != want {
-		t.Fatalf("collapsed union = %s, want %s", p.Sets[0], want)
+		t.Fatalf("collapsed union = %s, want %s", p.Sets[0].StringIn(sm), want.StringIn(sm))
 	}
 }
 
 func TestPathSetsCrossDistributes(t *testing.T) {
-	a, _ := secmodel.CheckByName("checkRead", 1)
-	b, _ := secmodel.CheckByName("checkWrite", 1)
-	c, _ := secmodel.CheckByName("checkExit", 1)
+	a, _ := sm.CheckByName("checkRead", 1)
+	b, _ := sm.CheckByName("checkWrite", 1)
+	c, _ := sm.CheckByName("checkExit", 1)
 	p := PathSets{Sets: []CheckSet{Empty.With(a), Empty.With(b)}}
 	q := PathSets{Sets: []CheckSet{Empty.With(c)}}
 	got := p.Cross(q)
 	want := []CheckSet{Empty.With(a).With(c), Empty.With(b).With(c)}
 	if len(got.Sets) != 2 || got.Sets[0] != want[0] && got.Sets[0] != want[1] {
-		t.Errorf("cross = %s", got)
+		t.Errorf("cross = %s", got.StringIn(sm))
 	}
 }
 
 func TestPathSetsKeyDistinguishes(t *testing.T) {
-	a, _ := secmodel.CheckByName("checkRead", 1)
+	a, _ := sm.CheckByName("checkRead", 1)
 	p := PathSets{Sets: []CheckSet{Empty}}
 	q := PathSets{Sets: []CheckSet{Empty.With(a)}}
 	if p.Key() == q.Key() {
@@ -197,27 +203,8 @@ func TestPathSetsKeyDistinguishes(t *testing.T) {
 	}
 }
 
-func TestEventPolicyCombination(t *testing.T) {
-	read, _ := secmodel.CheckByName("checkRead", 1)
-	write, _ := secmodel.CheckByName("checkWrite", 1)
-	ep := NewEventPolicy(secmodel.ReturnEvent())
-	ep.AddOccurrence(Empty.With(read), Empty.With(read), PathSets{Sets: []CheckSet{Empty.With(read)}})
-	ep.AddOccurrence(Empty.With(read).With(write), Empty.With(read).With(write),
-		PathSets{Sets: []CheckSet{Empty.With(read).With(write)}})
-	// MUST intersects, MAY unions (Section 5).
-	if ep.Must != Empty.With(read) {
-		t.Errorf("must = %s", ep.Must)
-	}
-	if ep.May != Empty.With(read).With(write) {
-		t.Errorf("may = %s", ep.May)
-	}
-	if len(ep.Paths.Sets) != 2 {
-		t.Errorf("paths = %s", ep.Paths)
-	}
-}
-
 func TestEventPolicyOrigins(t *testing.T) {
-	read, _ := secmodel.CheckByName("checkRead", 1)
+	read, _ := sm.CheckByName("checkRead", 1)
 	ep := NewEventPolicy(secmodel.ReturnEvent())
 	ep.AddOrigin(read, "b.m()")
 	ep.AddOrigin(read, "a.m()")
@@ -233,12 +220,12 @@ func TestEventPolicyOrigins(t *testing.T) {
 }
 
 func TestProgramPoliciesCounts(t *testing.T) {
-	read, _ := secmodel.CheckByName("checkRead", 1)
+	read, _ := sm.CheckByName("checkRead", 1)
 	pp := NewProgramPolicies("lib")
 	e1 := NewEntryPolicy("A.f()")
-	e1.EventPolicyFor(secmodel.ReturnEvent()).AddOccurrence(Empty, Empty.With(read), PathEmpty())
+	e1.EventPolicyFor(secmodel.ReturnEvent()).May = Empty.With(read)
 	e2 := NewEntryPolicy("A.g()")
-	e2.EventPolicyFor(secmodel.ReturnEvent()).AddOccurrence(Empty, Empty, PathEmpty())
+	e2.EventPolicyFor(secmodel.ReturnEvent())
 	pp.Entries["A.f()"] = e1
 	pp.Entries["A.g()"] = e2
 	if pp.CountPolicies() != 2 {

@@ -9,6 +9,7 @@ import (
 	"policyoracle/internal/diff"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
+	"policyoracle/internal/secmodel"
 )
 
 // TestExportRoundTripAllCorpora is the export/import property test on
@@ -53,7 +54,7 @@ func TestExportRoundTripAllCorpora(t *testing.T) {
 			} {
 				for _, g := range rep.Groups {
 					t.Errorf("imported policies diff against original: %s %s at %v",
-						g.Case, g.DiffChecks, g.Entries[:1])
+						g.Case, g.DiffChecks.StringIn(secmodel.SecurityManager()), g.Entries[:1])
 				}
 			}
 		})

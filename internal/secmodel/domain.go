@@ -161,15 +161,6 @@ func (d *Domain) AllCheckNames() []string {
 	return out
 }
 
-// FullMask returns the bitmask with every check of the domain set — the
-// MUST lattice's ⊤ element.
-func (d *Domain) FullMask() uint64 {
-	if len(d.checks) == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(len(d.checks))) - 1
-}
-
 // CheckSetString renders a bitset of the domain's checks as sorted names.
 func (d *Domain) CheckSetString(bits uint64) string {
 	if bits == 0 {
@@ -191,7 +182,7 @@ func (d *Domain) CheckSetString(bits uint64) string {
 // a subtype, and the name+arity matches the check table.
 func (d *Domain) IdentifyCheck(call *ir.Call) (CheckID, bool) {
 	owner := ownerClass(call)
-	if owner == nil || !d.isGuardClass(owner) {
+	if owner == nil || !d.IsGuardClass(owner) {
 		return 0, false
 	}
 	if id, ok := d.CheckByName(call.Name, len(call.Args)); ok {
@@ -200,7 +191,10 @@ func (d *Domain) IdentifyCheck(call *ir.Call) (CheckID, bool) {
 	return 0, false
 }
 
-func (d *Domain) isGuardClass(c *types.Class) bool {
+// IsGuardClass reports whether c is the domain's guard class or a
+// subtype of it: the classes whose check-table methods are checks and
+// whose instances stand for the installed guard object.
+func (d *Domain) IsGuardClass(c *types.Class) bool {
 	for k := c; k != nil; k = k.Super {
 		if k.Simple == d.guardClass {
 			return true
@@ -235,13 +229,6 @@ func (d *Domain) IsGetSecurityManager(call *ir.Call) bool {
 	}
 	owner := ownerClass(call)
 	return owner != nil && owner.Simple == d.stateClass
-}
-
-// BuildProgramEvents builds the per-program event interning table. Event
-// definitions are domain-independent; the method lives on Domain so a
-// future domain can narrow or extend them without touching callers.
-func (d *Domain) BuildProgramEvents(p *types.Program) *ProgramEvents {
-	return BuildProgramEvents(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -333,15 +320,11 @@ func SecurityManager() *Domain { return defDomain }
 func CryptoAPI() *Domain { return cryptoDom }
 
 func init() {
-	specChecks := make([]CheckDesc, len(checkTable))
-	for i, c := range checkTable {
-		specChecks[i] = CheckDesc{Name: c.Name, Arity: c.Arity}
-	}
 	var err error
 	defDomain, err = NewDomain(DomainSpec{
 		ID:               DefaultDomainID,
 		GuardClass:       SecurityManagerClass,
-		Checks:           specChecks,
+		Checks:           securityManagerChecks,
 		PrivilegedClass:  AccessControllerClass,
 		PrivilegedMethod: DoPrivilegedMethod,
 		StateClass:       "System",

@@ -1,8 +1,11 @@
-// Package secmodel encodes the Java security model as data: the 31
-// SecurityManager check methods, the definitions of security-sensitive
-// events (narrow: JNI calls and API returns; broad: additionally private
-// field and API parameter accesses), and the semantics of privileged
-// blocks (checks inside AccessController.doPrivileged are semantic no-ops).
+// Package secmodel encodes the Java security model as data: check
+// domains, each a guard class, a check table and privileged-block
+// semantics (the default domain is the paper's 31 SecurityManager check
+// methods, where checks inside AccessController.doPrivileged are
+// semantic no-ops), and the domain-independent definitions of
+// security-sensitive events (narrow: JNI calls and API returns; broad:
+// additionally private field and API parameter accesses). Check names,
+// guard classes and privileged scopes are only ever asked of a *Domain.
 package secmodel
 
 import (
@@ -12,21 +15,14 @@ import (
 	"policyoracle/internal/types"
 )
 
-// CheckID identifies one of the SecurityManager check methods. IDs are
-// dense in [0, NumChecks).
+// CheckID identifies one check of a domain's check table. IDs are dense
+// in [0, Domain.NumChecks()).
 type CheckID int
 
-// checkDesc describes one check method: its name and parameter count
-// (overloads of the same name are distinct checks, as in the paper's count
-// of 31).
-type checkDesc struct {
-	Name  string
-	Arity int
-}
-
-// The 31 check methods of java.lang.SecurityManager (Java 1.6),
-// distinguishing overloads.
-var checkTable = []checkDesc{
+// securityManagerChecks is the default domain's check table: the 31
+// check methods of java.lang.SecurityManager (Java 1.6), distinguishing
+// overloads.
+var securityManagerChecks = []CheckDesc{
 	{"checkAccept", 2},
 	{"checkAccess", 1},            // Thread
 	{"checkAccessThreadGroup", 1}, // modeled as a distinct name
@@ -60,34 +56,6 @@ var checkTable = []checkDesc{
 	{"checkWriteFD", 1}, // FileDescriptor overload, modeled distinctly
 }
 
-// NumChecks is the number of distinct security checks (31, as in the paper).
-const NumChecks = 31
-
-func init() {
-	if len(checkTable) != NumChecks {
-		panic(fmt.Sprintf("check table has %d entries, want %d", len(checkTable), NumChecks))
-	}
-}
-
-// CheckName returns the method name of a check ID in the default
-// (SecurityManager) domain. Domain-generic callers use Domain.CheckName.
-func CheckName(id CheckID) string { return defDomain.CheckName(id) }
-
-// CheckArity returns the parameter count of a check ID in the default
-// (SecurityManager) domain, or -1 for an ID outside the table.
-// Domain-generic callers use Domain.CheckArity.
-func CheckArity(id CheckID) int { return defDomain.CheckArity(id) }
-
-// CheckByName returns the check ID for a name and arity in the default
-// (SecurityManager) domain. Domain-generic callers use Domain.CheckByName.
-func CheckByName(name string, arity int) (CheckID, bool) {
-	return defDomain.CheckByName(name, arity)
-}
-
-// AllCheckNames returns the distinct check method names of the default
-// (SecurityManager) domain, sorted.
-func AllCheckNames() []string { return defDomain.AllCheckNames() }
-
 // SecurityManagerClass is the simple name of the class whose check*
 // methods are security checks.
 const SecurityManagerClass = "SecurityManager"
@@ -98,36 +66,12 @@ const (
 	DoPrivilegedMethod    = "doPrivileged"
 )
 
-// IdentifyCheck reports whether call invokes a default-domain security
-// check, and which. A call is a check when its resolved declaration (or,
-// failing that, its static receiver type) belongs to SecurityManager or
-// a subtype, and the name+arity matches the check table. Domain-generic
-// callers use Domain.IdentifyCheck.
-func IdentifyCheck(call *ir.Call) (CheckID, bool) { return defDomain.IdentifyCheck(call) }
-
 func ownerClass(call *ir.Call) *types.Class {
 	if call.Declared != nil {
 		return call.Declared.Class
 	}
 	return call.StaticType
 }
-
-// IsDoPrivileged reports whether call enters a privileged block in the
-// default domain: AccessController.doPrivileged(action). Domain-generic
-// callers use Domain.IsDoPrivileged.
-func IsDoPrivileged(call *ir.Call) bool { return defDomain.IsDoPrivileged(call) }
-
-// IsPrivilegedScope reports whether m's body executes in privileged scope:
-// AccessController.doPrivileged itself (and anything it calls) runs with
-// the library's own permissions, so checks inside are semantic no-ops even
-// when doPrivileged is analyzed as an API entry point. Domain-generic
-// callers use Domain.IsPrivilegedScope.
-func IsPrivilegedScope(m *types.Method) bool { return defDomain.IsPrivilegedScope(m) }
-
-// IsGetSecurityManager reports whether call is System.getSecurityManager(),
-// whose result is assumed non-null under Config.AssumeSecurityManager.
-// Domain-generic callers use Domain.IsGetSecurityManager.
-func IsGetSecurityManager(call *ir.Call) bool { return defDomain.IsGetSecurityManager(call) }
 
 // ---------------------------------------------------------------------------
 // Events
@@ -221,7 +165,3 @@ func (m EventMode) String() string {
 	}
 	return "narrow"
 }
-
-// CheckSetString renders a bitset of default-domain checks as sorted
-// names (for reports). Domain-generic callers use Domain.CheckSetString.
-func CheckSetString(bits uint64) string { return defDomain.CheckSetString(bits) }

@@ -12,36 +12,41 @@ import (
 )
 
 func TestCheckTableHas31Entries(t *testing.T) {
+	sm := SecurityManager()
+	if n := sm.NumChecks(); n != 31 {
+		t.Fatalf("SecurityManager().NumChecks() = %d, want 31", n)
+	}
 	seen := map[string]bool{}
-	for i := 0; i < NumChecks; i++ {
-		name := CheckName(CheckID(i))
+	for i := 0; i < sm.NumChecks(); i++ {
+		name := sm.CheckName(CheckID(i))
 		if name == "" || strings.HasPrefix(name, "check#") {
 			t.Errorf("check %d has no name", i)
 		}
 		seen[name] = true
 	}
 	// Overloads share names, so distinct names < 31.
-	if len(seen) >= NumChecks {
+	if len(seen) >= sm.NumChecks() {
 		t.Errorf("expected overloaded names, got %d distinct", len(seen))
 	}
-	if got := len(AllCheckNames()); got != len(seen) {
+	if got := len(sm.AllCheckNames()); got != len(seen) {
 		t.Errorf("AllCheckNames = %d, want %d", got, len(seen))
 	}
 }
 
 func TestCheckByName(t *testing.T) {
-	id1, ok1 := CheckByName("checkConnect", 2)
-	id2, ok2 := CheckByName("checkConnect", 3)
+	sm := SecurityManager()
+	id1, ok1 := sm.CheckByName("checkConnect", 2)
+	id2, ok2 := sm.CheckByName("checkConnect", 3)
 	if !ok1 || !ok2 || id1 == id2 {
 		t.Errorf("overloads not distinct: %v/%v %v/%v", id1, ok1, id2, ok2)
 	}
-	if _, ok := CheckByName("checkConnect", 5); ok {
+	if _, ok := sm.CheckByName("checkConnect", 5); ok {
 		t.Error("bogus arity resolved")
 	}
-	if _, ok := CheckByName("notACheck", 1); ok {
+	if _, ok := sm.CheckByName("notACheck", 1); ok {
 		t.Error("bogus name resolved")
 	}
-	if CheckName(id1) != "checkConnect" {
+	if sm.CheckName(id1) != "checkConnect" {
 		t.Errorf("name roundtrip failed")
 	}
 }
@@ -97,7 +102,7 @@ class App {
 `)
 	var checks, nonChecks int
 	for _, c := range calls {
-		if _, ok := IdentifyCheck(c); ok {
+		if _, ok := SecurityManager().IdentifyCheck(c); ok {
 			checks++
 		} else {
 			nonChecks++
@@ -138,10 +143,10 @@ class App {
 `)
 	var doPriv, getSM int
 	for _, c := range calls {
-		if IsDoPrivileged(c) {
+		if SecurityManager().IsDoPrivileged(c) {
 			doPriv++
 		}
-		if IsGetSecurityManager(c) {
+		if SecurityManager().IsGetSecurityManager(c) {
 			getSM++
 		}
 	}
@@ -166,10 +171,10 @@ public class AccessController {
 `, &diags)}
 	tp := types.Build("t", files, &diags)
 	ac := tp.Classes["java.security.AccessController"]
-	if !IsPrivilegedScope(ac.LookupMethod("doPrivileged", 1)) {
+	if !SecurityManager().IsPrivilegedScope(ac.LookupMethod("doPrivileged", 1)) {
 		t.Error("doPrivileged not privileged scope")
 	}
-	if IsPrivilegedScope(ac.LookupMethod("other", 0)) {
+	if SecurityManager().IsPrivilegedScope(ac.LookupMethod("other", 0)) {
 		t.Error("other wrongly privileged")
 	}
 }
@@ -188,13 +193,14 @@ func TestEventStringsAndKeys(t *testing.T) {
 }
 
 func TestCheckSetString(t *testing.T) {
-	a, _ := CheckByName("checkWrite", 1)
-	b, _ := CheckByName("checkAccept", 2)
+	sm := SecurityManager()
+	a, _ := sm.CheckByName("checkWrite", 1)
+	b, _ := sm.CheckByName("checkAccept", 2)
 	bits := uint64(1)<<uint(a) | uint64(1)<<uint(b)
-	if got := CheckSetString(bits); got != "{checkAccept, checkWrite}" {
+	if got := sm.CheckSetString(bits); got != "{checkAccept, checkWrite}" {
 		t.Errorf("got %q", got)
 	}
-	if CheckSetString(0) != "{}" {
+	if sm.CheckSetString(0) != "{}" {
 		t.Error("empty set render wrong")
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
+	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
 )
 
@@ -285,7 +286,7 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 	}
 	found := false
 	for _, g := range rep.Groups {
-		if strings.Contains(g.DiffChecks.String(), "checkWrite") && g.MissingIn == "b" {
+		if strings.Contains(g.DiffChecks.StringIn(secmodel.SecurityManager()), "checkWrite") && g.MissingIn == "b" {
 			found = true
 		}
 	}

@@ -1,6 +1,7 @@
 package witness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -18,6 +19,15 @@ func mustDiff(t testing.TB, a, b *oracle.Library) *diff.Report {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+func confirm(t testing.TB, a, b *oracle.Library, g *diff.Group) []Result {
+	t.Helper()
+	rs, err := Confirm(a, b, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
 }
 
 func extract(t testing.TB, name string) *oracle.Library {
@@ -47,7 +57,7 @@ func TestWitnessesHandwrittenVulnerabilities(t *testing.T) {
 			if is == nil || is.Kind != corpus.Vulnerability {
 				continue
 			}
-			for _, r := range Confirm(a.Prog.Types, b.Prog.Types, a.Name, b.Name, g) {
+			for _, r := range confirm(t, a, b, g) {
 				if r.Confirmed {
 					if r.VulnerableLib != is.Responsible {
 						t.Errorf("%s: witness blames %s, ground truth %s (%s)",
@@ -93,7 +103,7 @@ func TestFalsePositivesNotConfirmedAsVulnerabilities(t *testing.T) {
 			continue
 		}
 		blamed := map[string]bool{}
-		for _, r := range Confirm(jdk.Prog.Types, harmony.Prog.Types, jdk.Name, harmony.Name, g) {
+		for _, r := range confirm(t, jdk, harmony, g) {
 			if r.Confirmed {
 				blamed[r.VulnerableLib] = true
 			}
@@ -110,7 +120,7 @@ func TestConfirmWithMissingEntry(t *testing.T) {
 		DiffChecks: policy.Empty.With(mustCheck(t, "checkRead", 1)),
 		Entries:    []string{"no.such.Entry.m()"},
 	}
-	rs := Confirm(jdk.Prog.Types, harmony.Prog.Types, jdk.Name, harmony.Name, g)
+	rs := confirm(t, jdk, harmony, g)
 	if len(rs) != 1 || rs[0].Confirmed {
 		t.Errorf("missing entry should yield an unconfirmed result: %+v", rs)
 	}
@@ -119,9 +129,24 @@ func TestConfirmWithMissingEntry(t *testing.T) {
 	}
 }
 
+// TestConfirmRequiresExtractedLibraries: the witness reads the check
+// domain from the extracted policies, so unextracted libraries are an
+// error rather than a run under some default domain.
+func TestConfirmRequiresExtractedLibraries(t *testing.T) {
+	jdk := extract(t, corpus.JDK)
+	raw, err := oracle.LoadLibrary(corpus.Harmony, corpus.Sources(corpus.Harmony))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &diff.Group{DiffChecks: policy.Empty.With(mustCheck(t, "checkRead", 1)), Entries: []string{"A.m()"}}
+	if _, err := Confirm(jdk, raw, g); !errors.Is(err, oracle.ErrNotExtracted) {
+		t.Errorf("Confirm over an unextracted library: err = %v, want ErrNotExtracted", err)
+	}
+}
+
 func mustCheck(t *testing.T, name string, arity int) secmodel.CheckID {
 	t.Helper()
-	id, ok := secmodel.CheckByName(name, arity)
+	id, ok := secmodel.SecurityManager().CheckByName(name, arity)
 	if !ok {
 		t.Fatalf("unknown check %s/%d", name, arity)
 	}
