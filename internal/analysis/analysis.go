@@ -190,17 +190,18 @@ type Analyzer struct {
 	cfg  Config
 	ev   *secmodel.ProgramEvents
 
-	memo     [cacheStripes]memoStripe
-	cp       [cacheStripes]cpStripe
-	paths    pathsInterner
-	consts   constsInterner
-	taskPool sync.Pool
-	taintMu  sync.RWMutex
-	taints   map[*ir.Func][]uint64          // per-local param-taint masks, by Local.Index
-	sites    []atomic.Pointer[types.Method] // by Call.Site; unresolvedSite = resolved to nothing
-	domMu    sync.Mutex
-	doms     map[*ir.Func]*cfg.Dominators
-	stats    atomicStats
+	memo    [cacheStripes]memoStripe
+	cp      [cacheStripes]cpStripe
+	paths   pathsInterner
+	consts  constsInterner
+	taskMu  sync.Mutex
+	tasks   []*task // idle tasks, at most one per concurrent AnalyzeEntry
+	taintMu sync.RWMutex
+	taints  map[*ir.Func][]uint64          // per-local param-taint masks, by Local.Index
+	sites   []atomic.Pointer[types.Method] // by Call.Site; unresolvedSite = resolved to nothing
+	domMu   sync.Mutex
+	doms    map[*ir.Func]*cfg.Dominators
+	stats   atomicStats
 }
 
 // memoKey is the ISPA summary key: the method, the privileged flag, the
@@ -319,9 +320,14 @@ type EntryResult struct {
 // entry analyses each run on their own task and share only the Analyzer's
 // striped caches.
 //
-// Tasks are pooled on the Analyzer: steady-state extraction reuses the
-// recursion-stack slice, the solver buffers, and the entry-local maps of
-// a previous entry instead of reallocating them.
+// Idle tasks wait on the Analyzer's freelist: steady-state extraction
+// reuses the recursion-stack slice, the solver buffers, and the
+// entry-local maps of a previous entry instead of reallocating them. The
+// freelist is a plain slice the Analyzer owns. A pool from package sync
+// would register itself with the runtime, which then keeps the pool, and
+// through it the whole Analyzer with its summary and CP caches,
+// reachable for up to two garbage collections after the extraction drops
+// the Analyzer; owned, all of it is freed by the first.
 type task struct {
 	a      *Analyzer
 	active []int32                     // recursion counts, by Method.ID
@@ -389,9 +395,14 @@ func (t *task) putSet(s bitset.Set) {
 }
 
 func (a *Analyzer) getTask() *task {
-	if v := a.taskPool.Get(); v != nil {
-		return v.(*task)
+	a.taskMu.Lock()
+	if n := len(a.tasks); n > 0 {
+		t := a.tasks[n-1]
+		a.tasks = a.tasks[:n-1]
+		a.taskMu.Unlock()
+		return t
 	}
+	a.taskMu.Unlock()
 	t := &task{a: a, active: make([]int32, len(a.prog.Types.AllMethods()))}
 	if a.cfg.Memo != MemoGlobal {
 		t.memo = make(map[memoKey]*summary)
@@ -409,7 +420,9 @@ func (a *Analyzer) putTask(t *task) {
 	if t.cp != nil {
 		clear(t.cp)
 	}
-	a.taskPool.Put(t)
+	a.taskMu.Lock()
+	a.tasks = append(a.tasks, t)
+	a.taskMu.Unlock()
 }
 
 // AnalyzeEntry runs ISPA rooted at entry point m. It is safe to call from

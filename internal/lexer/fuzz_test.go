@@ -41,14 +41,14 @@ func FuzzLexer(f *testing.F) {
 			if (tk.Kind == token.EOF) != last {
 				t.Fatalf("EOF placement: token %d/%d is %v", i, len(toks), tk.Kind)
 			}
-			if tk.Pos.Offset < prev || tk.Pos.Offset > len(src) {
+			if int(tk.Off) < prev || int(tk.Off) > len(src) {
 				t.Fatalf("token %d offset %d out of order (prev %d, len %d)",
-					i, tk.Pos.Offset, prev, len(src))
+					i, tk.Off, prev, len(src))
 			}
-			if tk.Pos.Line < 1 || tk.Pos.Col < 1 {
-				t.Fatalf("token %d has unpositioned Pos %+v", i, tk.Pos)
+			if tk.Line < 1 || tk.Col < 1 {
+				t.Fatalf("token %d has unpositioned Pos %+v", i, tk.Pos("fuzz.mj"))
 			}
-			prev = tk.Pos.Offset
+			prev = int(tk.Off)
 		}
 		for _, diag := range d.All() {
 			if !diag.Pos.IsValid() || diag.Pos.Col < 1 {

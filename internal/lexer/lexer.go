@@ -2,17 +2,30 @@
 package lexer
 
 import (
+	"math"
 	"strings"
 
 	"policyoracle/internal/lang"
 	"policyoracle/internal/token"
 )
 
-// Token is a lexical token with its source span and literal text.
+// Token is a lexical token with its literal text and start position.
+//
+// A token is 40 bytes: it carries no file name, and its position is
+// three int32s, so a scan of N tokens allocates one 40·N-byte slice plus
+// the decoded string literals. Pos rebuilds the full lang.Pos from the
+// file name the caller already holds.
 type Token struct {
-	Kind token.Kind
 	Text string
-	Pos  lang.Pos
+	Kind token.Kind
+	Off  int32 // 0-based byte offset
+	Line int32 // 1-based
+	Col  int32 // 1-based, in bytes
+}
+
+// Pos returns the token's position in file.
+func (t Token) Pos(file string) lang.Pos {
+	return lang.Pos{File: file, Offset: int(t.Off), Line: int(t.Line), Col: int(t.Col)}
 }
 
 func (t Token) String() string {
@@ -23,6 +36,12 @@ func (t Token) String() string {
 		return t.Kind.String()
 	}
 }
+
+// MaxFileBytes is the longest source a Lexer scans. Every offset, line
+// and column of a shorter file, the EOF column included, fits a Token's
+// int32 fields; a longer file is rejected with a diagnostic rather than
+// scanned with positions that wrap.
+const MaxFileBytes = math.MaxInt32 - 1
 
 // Lexer scans MJ source text into tokens. Create one with New.
 type Lexer struct {
@@ -35,16 +54,36 @@ type Lexer struct {
 }
 
 // New returns a Lexer over src. file names the source for positions and
-// diags receives scan errors (it must be non-nil).
+// diags receives scan errors (it must be non-nil). A src longer than
+// MaxFileBytes is reported to diags and scans as an empty file.
 func New(file, src string, diags *lang.Diagnostics) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1, diags: diags}
+	lx := &Lexer{src: src, file: file, line: 1, col: 1, diags: diags}
+	if len(src) > MaxFileBytes {
+		diags.Errorf(lx.pos(), "source file is %d bytes, over the %d-byte limit", len(src), MaxFileBytes)
+		lx.src = ""
+	}
+	return lx
 }
+
+// Token-slice sizing. MJ source averages under four bytes per token, so
+// Tokenize starts from len(src)/3 tokens, capped at initialTokens so a
+// file of comments or whitespace never pays for tokens it does not have.
+// When the slice fills, it grows to the file's token count as
+// extrapolated from the bytes per token scanned so far, plus an eighth,
+// which on MJ source is usually the last growth.
+const (
+	bytesPerToken = 3
+	initialTokens = 1024
+)
 
 // Tokenize scans the entire input and returns all tokens, ending with EOF.
 func Tokenize(file, src string, diags *lang.Diagnostics) []Token {
 	lx := New(file, src, diags)
-	var toks []Token
+	toks := make([]Token, 0, min(len(lx.src)/bytesPerToken+1, initialTokens))
 	for {
+		if len(toks) == cap(toks) {
+			toks = lx.grow(toks)
+		}
 		t := lx.Next()
 		toks = append(toks, t)
 		if t.Kind == token.EOF {
@@ -53,8 +92,26 @@ func Tokenize(file, src string, diags *lang.Diagnostics) []Token {
 	}
 }
 
+// grow returns full with room for the rest of the file's tokens, as
+// extrapolated from the density of the lx.off bytes scanned so far. Every
+// token but EOF spans at least one byte, so lx.off >= len(full) >= 1 and
+// the file holds at most len(lx.src)+1 tokens.
+func (lx *Lexer) grow(full []Token) []Token {
+	n := len(full)
+	est := int(int64(n) * int64(len(lx.src)) / int64(lx.off))
+	grown := make([]Token, n, min(est+est/8+1, len(lx.src)+1))
+	copy(grown, full)
+	return grown
+}
+
 func (lx *Lexer) pos() lang.Pos {
 	return lang.Pos{File: lx.file, Offset: lx.off, Line: lx.line, Col: lx.col}
+}
+
+// tok builds a token of kind k starting at start, the lexer state
+// position the token's first byte was scanned from.
+func tok(k token.Kind, text string, start lang.Pos) Token {
+	return Token{Text: text, Kind: k, Off: int32(start.Offset), Line: int32(start.Line), Col: int32(start.Col)}
 }
 
 func (lx *Lexer) peek() byte {
@@ -129,7 +186,7 @@ func (lx *Lexer) Next() Token {
 	lx.skipSpaceAndComments()
 	pos := lx.pos()
 	if lx.off >= len(lx.src) {
-		return Token{Kind: token.EOF, Pos: pos}
+		return tok(token.EOF, "", pos)
 	}
 	c := lx.peek()
 	switch {
@@ -152,9 +209,9 @@ func (lx *Lexer) scanIdent(pos lang.Pos) Token {
 	}
 	text := lx.src[start:lx.off]
 	if kw, ok := token.Keywords[text]; ok {
-		return Token{Kind: kw, Text: text, Pos: pos}
+		return tok(kw, text, pos)
 	}
-	return Token{Kind: token.Ident, Text: text, Pos: pos}
+	return tok(token.Ident, text, pos)
 }
 
 func (lx *Lexer) scanNumber(pos lang.Pos) Token {
@@ -173,9 +230,9 @@ func (lx *Lexer) scanNumber(pos lang.Pos) Token {
 	// Long suffix is accepted and dropped.
 	if lx.off < len(lx.src) && (lx.peek() == 'L' || lx.peek() == 'l') {
 		lx.advance()
-		return Token{Kind: token.IntLit, Text: lx.src[start : lx.off-1], Pos: pos}
+		return tok(token.IntLit, lx.src[start:lx.off-1], pos)
 	}
-	return Token{Kind: token.IntLit, Text: lx.src[start:lx.off], Pos: pos}
+	return tok(token.IntLit, lx.src[start:lx.off], pos)
 }
 
 func isHexDigit(c byte) bool {
@@ -204,7 +261,7 @@ func (lx *Lexer) scanString(pos lang.Pos) Token {
 		}
 		sb.WriteByte(c)
 	}
-	return Token{Kind: token.StringLit, Text: sb.String(), Pos: pos}
+	return tok(token.StringLit, sb.String(), pos)
 }
 
 func (lx *Lexer) scanChar(pos lang.Pos) Token {
@@ -223,7 +280,7 @@ func (lx *Lexer) scanChar(pos lang.Pos) Token {
 	} else {
 		lx.diags.Errorf(pos, "unterminated char literal")
 	}
-	return Token{Kind: token.CharLit, Text: string(val), Pos: pos}
+	return tok(token.CharLit, string(val), pos)
 }
 
 func unescape(c byte) byte {
@@ -245,11 +302,11 @@ func (lx *Lexer) scanOperator(pos lang.Pos) Token {
 	two := func(k token.Kind) Token {
 		lx.advance()
 		lx.advance()
-		return Token{Kind: k, Text: lx.src[pos.Offset:lx.off], Pos: pos}
+		return tok(k, lx.src[pos.Offset:lx.off], pos)
 	}
 	one := func(k token.Kind) Token {
 		lx.advance()
-		return Token{Kind: k, Text: lx.src[pos.Offset:lx.off], Pos: pos}
+		return tok(k, lx.src[pos.Offset:lx.off], pos)
 	}
 	c, d := lx.peek(), lx.peekAt(1)
 	switch c {
@@ -274,7 +331,7 @@ func (lx *Lexer) scanOperator(pos lang.Pos) Token {
 			lx.advance()
 			lx.advance()
 			lx.advance()
-			return Token{Kind: token.Ellipsis, Text: "...", Pos: pos}
+			return tok(token.Ellipsis, "...", pos)
 		}
 		return one(token.Dot)
 	case '?':
@@ -346,5 +403,5 @@ func (lx *Lexer) scanOperator(pos lang.Pos) Token {
 	}
 	lx.diags.Errorf(pos, "unexpected character %q", string(c))
 	lx.advance()
-	return Token{Kind: token.Invalid, Text: string(c), Pos: pos}
+	return tok(token.Invalid, string(c), pos)
 }

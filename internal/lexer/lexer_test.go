@@ -107,11 +107,11 @@ func TestComments(t *testing.T) {
 
 func TestPositions(t *testing.T) {
 	toks := scan(t, "a\n  b")
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("token a at %v", toks[0].Pos)
+	if toks[0].Line != 1 || toks[0].Col != 1 {
+		t.Errorf("token a at %v", toks[0].Pos("test.mj"))
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("token b at %v", toks[1].Pos)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("token b at %v", toks[1].Pos("test.mj"))
 	}
 }
 

@@ -72,11 +72,11 @@ func ExtractIncrementalContext(ctx context.Context, prev *Library, sources map[s
 	if err != nil {
 		return nil, nil, err
 	}
-	hashes := lib.methodHashes(opts.Domain)
-	st := &IncrementalStats{HashedMethods: len(hashes), ChangedMethods: countChanged(prev.MethodHashes, hashes)}
+	hashes, prevHashes := lib.methodHashes(opts.Domain), prev.hashes()
+	st := &IncrementalStats{HashedMethods: len(hashes), ChangedMethods: countChanged(prevHashes, hashes)}
 	var seed *SummaryCache
-	if key := extractKey(opts); prev.ExtractedOpts == key && len(prev.MethodHashes) > 0 && len(prev.EntryDeps) > 0 {
-		seed = seedFrom(prev, key)
+	if key := extractKey(opts); prev.ExtractedOpts == key && len(prevHashes) > 0 && len(prev.EntryDeps) > 0 {
+		seed = seedFrom(prev, prevHashes, key)
 	} else {
 		// The previous extraction cannot prove anything about this one;
 		// rebuild from scratch rather than guess.

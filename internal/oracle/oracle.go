@@ -96,12 +96,11 @@ type Library struct {
 	Policies *policy.ProgramPolicies
 
 	// Incremental-extraction state, filled by every extraction:
-	// MethodHashes maps each method signature to its IR-level content
-	// hash, EntryDeps maps each entry-point signature to the sorted
-	// signatures of the methods its analysis visited, and ExtractedOpts
-	// is the option key (see extractKey) the policies were extracted
-	// under. Together they are what ExtractIncremental consumes as prev.
-	MethodHashes  map[string]string
+	// EntryDeps maps each entry-point signature to the sorted signatures
+	// of the methods its analysis visited, and ExtractedOpts is the
+	// option key (see extractKey) the policies were extracted under.
+	// With the extraction's method hashes (see hashes) they are what
+	// ExtractIncremental consumes as prev.
 	EntryDeps     map[string][]string
 	ExtractedOpts string
 
@@ -114,11 +113,16 @@ type Library struct {
 	MayTime, MustTime   time.Duration
 	Diags               *lang.Diagnostics
 
+	// domain is the check domain of the last extraction, the one its
+	// method hashes are read under.
+	domain *secmodel.Domain
 	// hashMu/hashCache memoize MethodHashes per domain ID: the program
 	// is immutable after load, so its content hashes are computed at
 	// most once per (library, domain) no matter how many extractions run
 	// on it. The cache is keyed by domain because check identity,
-	// guard-state and privileged-scope facts feed the digests.
+	// guard-state and privileged-scope facts feed the digests. A library
+	// restored from a snapshot has no program; its cache holds the
+	// snapshot's table under the snapshot's domain.
 	hashMu    sync.Mutex
 	hashCache map[string]map[string]string
 
@@ -129,19 +133,33 @@ type Library struct {
 }
 
 // methodHashes returns the library's IR content hashes under domain d,
-// computing them on first use per domain.
+// computing them on first use per domain. A library without a program
+// has only the hashes it was restored with.
 func (l *Library) methodHashes(d *secmodel.Domain) map[string]string {
 	l.hashMu.Lock()
 	defer l.hashMu.Unlock()
-	if l.hashCache == nil {
-		l.hashCache = make(map[string]map[string]string, 1)
-	}
 	h, ok := l.hashCache[d.ID()]
-	if !ok {
+	if !ok && l.Prog != nil {
+		if l.hashCache == nil {
+			l.hashCache = make(map[string]map[string]string, 1)
+		}
 		h = MethodHashes(l.Prog, l.Resolver, d)
 		l.hashCache[d.ID()] = h
 	}
 	return h
+}
+
+// hashes returns the method hashes of the last extraction, keyed by
+// qualified signature, under that extraction's domain; nil if the
+// library was never extracted. Extraction hashes only when it consults
+// a seed or a summary cache, so for most extractions the first read —
+// a snapshot, or an incremental extraction seeded from this one — is
+// what computes them.
+func (l *Library) hashes() map[string]string {
+	if l.domain == nil {
+		return nil
+	}
+	return l.methodHashes(l.domain)
 }
 
 // eventInterns returns the library's event interning table, building it
@@ -247,11 +265,11 @@ func (l *Library) ExtractContext(ctx context.Context, opts Options) error {
 
 // publish installs one completed extraction on the library: the policies
 // plus the incremental-extraction state derived from them.
-func (l *Library) publish(pp *policy.ProgramPolicies, deps map[string][]string, hashes map[string]string, key string) {
+func (l *Library) publish(pp *policy.ProgramPolicies, deps map[string][]string, key string, d *secmodel.Domain) {
 	l.Policies = pp
 	l.EntryDeps = deps
-	l.MethodHashes = hashes
 	l.ExtractedOpts = key
+	l.domain = d
 }
 
 // extract is the one extraction routine behind ExtractContext and
@@ -277,7 +295,10 @@ func (l *Library) extract(ctx context.Context, opts Options, seed *SummaryCache)
 	entries := l.EntryPoints()
 	deps := make(map[string][]string, len(entries))
 	key := extractKey(opts)
-	hashes := l.methodHashes(opts.Domain)
+	var hashes map[string]string
+	if seed != nil || opts.Summaries != nil {
+		hashes = l.methodHashes(opts.Domain)
+	}
 
 	analyzed := make([]*types.Method, 0, len(entries))
 	hits := 0
@@ -414,7 +435,7 @@ func (l *Library) extract(ctx context.Context, opts Options, seed *SummaryCache)
 		deps[sig] = mergeDeps(sig, mayRes[sig], mustRes[sig])
 		opts.Summaries.insert(key, sig, deps[sig], hashes, ep)
 	}
-	l.publish(pp, deps, hashes, key)
+	l.publish(pp, deps, key, opts.Domain)
 	return len(analyzed), nil
 }
 

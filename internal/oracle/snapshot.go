@@ -53,7 +53,7 @@ func (l *Library) Snapshot() (*Snapshot, error) {
 		Version:      SnapshotVersion,
 		Library:      l.Name,
 		Options:      canonical,
-		MethodHashes: l.MethodHashes,
+		MethodHashes: l.hashes(),
 		EntryDeps:    l.EntryDeps,
 		Policies:     blob,
 	}, nil
@@ -104,14 +104,19 @@ func (s *Snapshot) ToLibrary() (*Library, error) {
 	if pp.Library != s.Library {
 		return nil, fmt.Errorf("oracle: snapshot library %q does not match its policy blob %q", s.Library, pp.Library)
 	}
+	d, err := pp.DomainModel()
+	if err != nil {
+		return nil, fmt.Errorf("oracle: snapshot policies for %s: %w", s.Library, err)
+	}
 	return &Library{
-		Name:         s.Library,
-		Policies:     pp,
-		MethodHashes: s.MethodHashes,
-		EntryDeps:    s.EntryDeps,
+		Name:      s.Library,
+		Policies:  pp,
+		EntryDeps: s.EntryDeps,
 		// Imported policies went through the wire format, which drops
 		// display data, so the restored key pins paths/guards off.
 		ExtractedOpts: s.Options + " paths=false guards=false",
+		domain:        d,
+		hashCache:     map[string]map[string]string{d.ID(): s.MethodHashes},
 	}, nil
 }
 

@@ -75,13 +75,14 @@ func NewSummaryCache(maxEntries int) *SummaryCache {
 }
 
 // seedFrom returns a private cache holding exactly prev's entries under
-// the option key, pinned to the hashes they were extracted under and
-// sized so that seeding never flushes it. Private, because a shared
-// cache could flush the previous revision in the middle of an update.
-func seedFrom(prev *Library, key string) *SummaryCache {
+// the option key, pinned to hashes, the method hashes prev was extracted
+// under, and sized so that seeding never flushes it. Private, because a
+// shared cache could flush the previous revision in the middle of an
+// update.
+func seedFrom(prev *Library, hashes map[string]string, key string) *SummaryCache {
 	c := NewSummaryCache(len(prev.Policies.Entries))
 	for sig, ep := range prev.Policies.Entries {
-		c.insert(key, sig, prev.EntryDeps[sig], prev.MethodHashes, ep)
+		c.insert(key, sig, prev.EntryDeps[sig], hashes, ep)
 	}
 	return c
 }

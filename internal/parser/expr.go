@@ -20,12 +20,27 @@ var binPrec = map[token.Kind]int{
 	token.Star: 9, token.Slash: 9, token.Percent: 9,
 }
 
-func (p *Parser) parseExpr() ast.Expr { return p.parseCond() }
+func (p *Parser) parseExpr() ast.Expr {
+	defer p.resetDepth(p.depth)
+	if !p.nest() {
+		return p.badExpr()
+	}
+	return p.parseCond()
+}
+
+// badExpr stands in for an expression the parser gave up on.
+func (p *Parser) badExpr() ast.Expr {
+	return &ast.Literal{Kind: ast.LitNull, Start: p.curPos()}
+}
 
 func (p *Parser) parseCond() ast.Expr {
 	x := p.parseBinary(1)
 	if p.cur().Kind == token.Question {
-		start := p.advance().Pos
+		defer p.resetDepth(p.depth)
+		start := p.advance().Pos(p.file)
+		if !p.nest() {
+			return x
+		}
 		then := p.parseExpr()
 		p.expect(token.Colon)
 		els := p.parseCond()
@@ -36,6 +51,7 @@ func (p *Parser) parseCond() ast.Expr {
 
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	x := p.parseUnary()
+	defer p.resetDepth(p.depth)
 	for {
 		k := p.cur().Kind
 		prec, ok := binPrec[k]
@@ -46,37 +62,50 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 		if k == token.KwInstanceof {
 			typ, tok := p.parseTypeRef()
 			if !tok {
-				p.diags.Errorf(p.cur().Pos, "expected type after instanceof")
+				p.errorf(p.curPos(), "expected type after instanceof")
 			}
-			x = &ast.InstanceOfExpr{X: x, Type: typ, Start: opTok.Pos}
-			continue
+			x = &ast.InstanceOfExpr{X: x, Type: typ, Start: opTok.Pos(p.file)}
+		} else {
+			y := p.parseBinary(prec + 1)
+			x = &ast.BinaryExpr{Op: opTok.Text, X: x, Y: y, Start: opTok.Pos(p.file)}
 		}
-		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{Op: opTok.Text, X: x, Y: y, Start: opTok.Pos}
+		if !p.nest() { // one level per link of the left-deep chain
+			return x
+		}
 	}
 }
 
 func (p *Parser) parseUnary() ast.Expr {
-	start := p.cur().Pos
+	start := p.curPos()
 	switch p.cur().Kind {
 	case token.Not:
 		p.advance()
-		return &ast.UnaryExpr{Op: "!", X: p.parseUnary(), Start: start}
+		return &ast.UnaryExpr{Op: "!", X: p.parseOperand(), Start: start}
 	case token.Minus:
 		p.advance()
-		return &ast.UnaryExpr{Op: "-", X: p.parseUnary(), Start: start}
+		return &ast.UnaryExpr{Op: "-", X: p.parseOperand(), Start: start}
 	case token.PlusPlus, token.MinusLess:
 		op := p.advance().Text
-		return &ast.IncDecExpr{X: p.parseUnary(), Op: op, Start: start}
+		return &ast.IncDecExpr{X: p.parseOperand(), Op: op, Start: start}
 	case token.LParen:
 		if p.isCastAhead() {
 			p.advance() // (
 			typ, _ := p.parseTypeRef()
 			p.expect(token.RParen)
-			return &ast.CastExpr{Type: typ, X: p.parseUnary(), Start: start}
+			return &ast.CastExpr{Type: typ, X: p.parseOperand(), Start: start}
 		}
 	}
 	return p.parsePostfix()
+}
+
+// parseOperand parses the operand of a prefix operator or cast, one
+// level deeper.
+func (p *Parser) parseOperand() ast.Expr {
+	defer p.resetDepth(p.depth)
+	if !p.nest() {
+		return p.badExpr()
+	}
+	return p.parseUnary()
 }
 
 // isCastAhead reports whether the current '(' starts a cast expression.
@@ -112,6 +141,7 @@ func (p *Parser) isCastAhead() bool {
 
 func (p *Parser) parsePostfix() ast.Expr {
 	x := p.parsePrimary()
+	defer p.resetDepth(p.depth)
 	for {
 		switch p.cur().Kind {
 		case token.Dot:
@@ -134,6 +164,9 @@ func (p *Parser) parsePostfix() ast.Expr {
 		default:
 			return x
 		}
+		if !p.nest() { // one level per link of the left-deep chain
+			return x
+		}
 	}
 }
 
@@ -151,13 +184,13 @@ func (p *Parser) parseArgs() []ast.Expr {
 }
 
 func (p *Parser) parsePrimary() ast.Expr {
-	start := p.cur().Pos
+	start := p.curPos()
 	switch p.cur().Kind {
 	case token.IntLit:
 		t := p.advance()
 		v, err := strconv.ParseInt(t.Text, 0, 64)
 		if err != nil {
-			p.diags.Errorf(t.Pos, "invalid integer literal %q", t.Text)
+			p.errorf(t.Pos(p.file), "invalid integer literal %q", t.Text)
 		}
 		return &ast.Literal{Kind: ast.LitInt, Int: v, Start: start}
 	case token.StringLit:
@@ -216,13 +249,13 @@ func (p *Parser) parsePrimary() ast.Expr {
 		}
 		return &ast.VarRef{Name: name, Start: start}
 	}
-	p.diags.Errorf(start, "expected expression, found %s", p.cur())
+	p.errorf(start, "expected expression, found %s", p.cur())
 	p.advance()
 	return &ast.Literal{Kind: ast.LitNull, Start: start}
 }
 
 func (p *Parser) parseNew() ast.Expr {
-	start := p.expect(token.KwNew).Pos
+	start := p.expect(token.KwNew).Pos(p.file)
 	var typ ast.TypeRef
 	if p.cur().Kind.IsPrimitiveType() {
 		typ.Name = p.advance().Text

@@ -1,6 +1,7 @@
 package parser_test
 
 import (
+	"strings"
 	"testing"
 
 	"policyoracle/internal/ast"
@@ -33,6 +34,9 @@ func FuzzParser(f *testing.F) {
 		"class C { void m() { x = \"unterminated", // broken input
 		"@#$%^&*",
 		"class C extends C { }", // inheritance cycle
+		// Just over the depth limit: rejected with one diagnostic.
+		"package p; class C { int m() { return " + strings.Repeat("(", parser.MaxDepth) + "1" +
+			strings.Repeat(")", parser.MaxDepth) + "; } }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

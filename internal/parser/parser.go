@@ -16,12 +16,31 @@ import (
 	"policyoracle/internal/token"
 )
 
+// MaxDepth bounds the height of the syntax tree the parser builds for one
+// file. Every later pass over the tree (type building, IR lowering, the
+// printer, the interpreter) recurses on it, and a goroutine stack
+// overflow is fatal, so a file nested deeper is rejected with one
+// positioned diagnostic instead. The parser counts one level per nested
+// statement, full expression (including each parenthesized one),
+// conditional, and unary or cast operator, and one per link of a
+// left-deep binary-operator or postfix (call, field, index) chain.
+//
+// The limit sits far below the smallest depth at which any such shape
+// overflowed the stack when the parser had no limit (DESIGN.md,
+// "Parser depth limit") and far above the deepest construct in the
+// bundled and generated corpora.
+const MaxDepth = 5000
+
 // Parser parses one MJ source file.
 type Parser struct {
 	toks  []lexer.Token
 	pos   int
 	diags *lang.Diagnostics
 	file  string
+	// depth is the number of open levels counted against MaxDepth (see
+	// nest); tooDeep is set once a file exceeds it.
+	depth   int
+	tooDeep bool
 }
 
 // ParseFile parses src as an MJ file. Errors are reported to diags; the
@@ -33,6 +52,7 @@ func ParseFile(file, src string, diags *lang.Diagnostics) *ast.File {
 }
 
 func (p *Parser) cur() lexer.Token  { return p.toks[p.pos] }
+func (p *Parser) curPos() lang.Pos  { return p.cur().Pos(p.file) }
 func (p *Parser) peek() lexer.Token { return p.at(1) }
 
 func (p *Parser) at(n int) lexer.Token {
@@ -62,9 +82,38 @@ func (p *Parser) expect(k token.Kind) lexer.Token {
 	if p.cur().Kind == k {
 		return p.advance()
 	}
-	p.diags.Errorf(p.cur().Pos, "expected %s, found %s", k, p.cur())
-	return lexer.Token{Kind: k, Pos: p.cur().Pos}
+	t := p.cur()
+	p.errorf(t.Pos(p.file), "expected %s, found %s", k, t)
+	return lexer.Token{Kind: k, Off: t.Off, Line: t.Line, Col: t.Col}
 }
+
+// errorf reports a syntax error. Once the file is rejected for nesting
+// too deep, the parser is skipping to EOF and reports nothing more.
+func (p *Parser) errorf(pos lang.Pos, format string, args ...any) {
+	if !p.tooDeep {
+		p.diags.Errorf(pos, format, args...)
+	}
+}
+
+// nest counts one more level of tree depth. Past MaxDepth it reports the
+// construct at the current token, jumps to EOF so that every open
+// production unwinds without recursing further, and returns false. Each
+// production that nests restores the depth it started at on return with
+// a deferred resetDepth.
+func (p *Parser) nest() bool {
+	p.depth++
+	if p.depth <= MaxDepth {
+		return true
+	}
+	if !p.tooDeep {
+		p.diags.Errorf(p.curPos(), "nesting exceeds the parser depth limit of %d", MaxDepth)
+		p.tooDeep = true
+		p.pos = len(p.toks) - 1
+	}
+	return false
+}
+
+func (p *Parser) resetDepth(d int) { p.depth = d }
 
 // sync skips tokens until one of the kinds (or EOF) is current.
 func (p *Parser) sync(kinds ...token.Kind) {
@@ -79,7 +128,7 @@ func (p *Parser) sync(kinds ...token.Kind) {
 }
 
 func (p *Parser) parseFile() *ast.File {
-	f := &ast.File{Start: p.cur().Pos, Name: p.file}
+	f := &ast.File{Start: p.curPos(), Name: p.file}
 	if p.accept(token.KwPackage) {
 		f.Package = p.parseDottedName()
 		p.expect(token.Semi)
@@ -155,7 +204,7 @@ func (p *Parser) parseModifiers() ast.Modifiers {
 }
 
 func (p *Parser) parseTypeDecl() *ast.TypeDecl {
-	start := p.cur().Pos
+	start := p.curPos()
 	mods := p.parseModifiers()
 	td := &ast.TypeDecl{Mods: mods, Start: start}
 	switch p.cur().Kind {
@@ -165,7 +214,7 @@ func (p *Parser) parseTypeDecl() *ast.TypeDecl {
 		p.advance()
 		td.IsInterface = true
 	default:
-		p.diags.Errorf(p.cur().Pos, "expected class or interface, found %s", p.cur())
+		p.errorf(p.curPos(), "expected class or interface, found %s", p.cur())
 		return nil
 	}
 	td.Name = p.expect(token.Ident).Text
@@ -195,7 +244,7 @@ func (p *Parser) parseTypeDecl() *ast.TypeDecl {
 
 // parseMember parses one field, method, or constructor declaration into td.
 func (p *Parser) parseMember(td *ast.TypeDecl) {
-	start := p.cur().Pos
+	start := p.curPos()
 	mods := p.parseModifiers()
 
 	// Constructor: Name '(' where Name matches the class.
@@ -215,7 +264,7 @@ func (p *Parser) parseMember(td *ast.TypeDecl) {
 
 	typ, ok := p.parseTypeRef()
 	if !ok {
-		p.diags.Errorf(p.cur().Pos, "expected member declaration, found %s", p.cur())
+		p.errorf(p.curPos(), "expected member declaration, found %s", p.cur())
 		p.sync(token.Semi, token.RBrace)
 		p.accept(token.Semi)
 		return
@@ -228,13 +277,13 @@ func (p *Parser) parseMember(td *ast.TypeDecl) {
 		p.parseThrows(m)
 		if p.cur().Kind == token.LBrace {
 			if mods.Has(ast.ModNative) || mods.Has(ast.ModAbstract) {
-				p.diags.Errorf(start, "%s method %s must not have a body", mods, name)
+				p.errorf(start, "%s method %s must not have a body", mods, name)
 			}
 			m.Body = p.parseBlock()
 		} else {
 			p.expect(token.Semi)
 			if !mods.Has(ast.ModNative) && !mods.Has(ast.ModAbstract) && !td.IsInterface {
-				p.diags.Errorf(start, "method %s without body must be native or abstract", name)
+				p.errorf(start, "method %s without body must be native or abstract", name)
 			}
 		}
 		td.Methods = append(td.Methods, m)
@@ -271,7 +320,7 @@ func (p *Parser) parseParams() []ast.Param {
 	for p.cur().Kind != token.RParen && p.cur().Kind != token.EOF {
 		typ, ok := p.parseTypeRef()
 		if !ok {
-			p.diags.Errorf(p.cur().Pos, "expected parameter type, found %s", p.cur())
+			p.errorf(p.curPos(), "expected parameter type, found %s", p.cur())
 			p.sync(token.RParen, token.Comma, token.LBrace, token.RBrace, token.Semi)
 			if p.cur().Kind != token.RParen && p.cur().Kind != token.Comma {
 				break

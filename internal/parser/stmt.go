@@ -6,7 +6,7 @@ import (
 )
 
 func (p *Parser) parseBlock() *ast.Block {
-	b := &ast.Block{Start: p.cur().Pos}
+	b := &ast.Block{Start: p.curPos()}
 	p.expect(token.LBrace)
 	for p.cur().Kind != token.RBrace && p.cur().Kind != token.EOF {
 		before := p.pos
@@ -23,7 +23,11 @@ func (p *Parser) parseBlock() *ast.Block {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
+	defer p.resetDepth(p.depth)
+	if !p.nest() {
+		return &ast.Block{Start: start}
+	}
 	switch p.cur().Kind {
 	case token.LBrace:
 		return p.parseBlock()
@@ -119,7 +123,7 @@ func (p *Parser) looksLikeLocalDecl() bool {
 }
 
 func (p *Parser) parseLocalDecl() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	typ, _ := p.parseTypeRef()
 	b := &ast.Block{Start: start}
 	for {
@@ -141,7 +145,7 @@ func (p *Parser) parseLocalDecl() ast.Stmt {
 }
 
 func (p *Parser) parseExprOrAssign() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	x := p.parseExpr()
 	switch p.cur().Kind {
 	case token.Assign:
@@ -160,7 +164,7 @@ func (p *Parser) parseExprOrAssign() ast.Stmt {
 }
 
 func (p *Parser) parseFor() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	p.expect(token.KwFor)
 	p.expect(token.LParen)
 	var init ast.Stmt
@@ -190,7 +194,7 @@ func (p *Parser) parseFor() ast.Stmt {
 // parseForClause parses an expression or assignment without the trailing
 // semicolon (for-init and for-post positions).
 func (p *Parser) parseForClause() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	x := p.parseExpr()
 	switch p.cur().Kind {
 	case token.Assign:
@@ -204,16 +208,16 @@ func (p *Parser) parseForClause() ast.Stmt {
 }
 
 func (p *Parser) parseTry() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	p.expect(token.KwTry)
 	t := &ast.TryStmt{Body: p.parseBlock(), Start: start}
 	for p.cur().Kind == token.KwCatch {
-		cstart := p.cur().Pos
+		cstart := p.curPos()
 		p.advance()
 		p.expect(token.LParen)
 		typ, ok := p.parseTypeRef()
 		if !ok {
-			p.diags.Errorf(p.cur().Pos, "expected exception type in catch")
+			p.errorf(p.curPos(), "expected exception type in catch")
 		}
 		name := p.expect(token.Ident).Text
 		p.expect(token.RParen)
@@ -223,13 +227,13 @@ func (p *Parser) parseTry() ast.Stmt {
 		t.Finally = p.parseBlock()
 	}
 	if len(t.Catches) == 0 && t.Finally == nil {
-		p.diags.Errorf(start, "try without catch or finally")
+		p.errorf(start, "try without catch or finally")
 	}
 	return t
 }
 
 func (p *Parser) parseSwitch() ast.Stmt {
-	start := p.cur().Pos
+	start := p.curPos()
 	p.expect(token.KwSwitch)
 	p.expect(token.LParen)
 	tag := p.parseExpr()
@@ -237,7 +241,7 @@ func (p *Parser) parseSwitch() ast.Stmt {
 	p.expect(token.LBrace)
 	sw := &ast.SwitchStmt{Tag: tag, Start: start}
 	for p.cur().Kind == token.KwCase || p.cur().Kind == token.KwDefault {
-		cstart := p.cur().Pos
+		cstart := p.curPos()
 		c := &ast.SwitchCase{Start: cstart}
 		if p.accept(token.KwDefault) {
 			c.IsDefault = true
