@@ -9,6 +9,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"policyoracle/internal/lang"
@@ -108,19 +109,7 @@ type Const struct {
 
 func (Const) operand() {}
 
-func (c Const) String() string {
-	switch c.Kind {
-	case ConstInt:
-		return fmt.Sprintf("%d", c.Int)
-	case ConstBool:
-		return fmt.Sprintf("%t", c.Bool)
-	case ConstString:
-		return fmt.Sprintf("%q", c.Str)
-	case ConstNull:
-		return "null"
-	}
-	return "?"
-}
+func (c Const) String() string { return string(c.appendTo(nil)) }
 
 // IntConst returns an integer constant operand.
 func IntConst(v int64) Const { return Const{Kind: ConstInt, Int: v} }
@@ -137,9 +126,11 @@ func NullConst() Const { return Const{Kind: ConstNull} }
 // ---------------------------------------------------------------------------
 // Instructions
 
-// Instr is implemented by all IR instructions.
+// Instr is implemented by all IR instructions. AppendTo appends the
+// instruction's text to b; String returns the same text.
 type Instr interface {
 	Pos() lang.Pos
+	AppendTo(b []byte) []byte
 	String() string
 }
 
@@ -299,87 +290,162 @@ type Throw struct {
 	Val Operand
 }
 
-func opStr(o Operand) string {
-	if o == nil {
-		return "_"
+// The append renderers below are the one rendering of an instruction:
+// String wraps them, and oracle.MethodHashes hashes their bytes, so their
+// output must not change (TestInstrStringPinned).
+
+// appendOperand renders an operand; a missing one renders as "_".
+func appendOperand(b []byte, o Operand) []byte {
+	switch o := o.(type) {
+	case *Local:
+		return append(b, o.Name...)
+	case Const:
+		return o.appendTo(b)
 	}
-	return o.String()
+	return append(b, '_')
 }
 
-func (i *Assign) String() string { return fmt.Sprintf("%s = %s", i.Dst, opStr(i.Src)) }
-func (i *Binary) String() string {
-	return fmt.Sprintf("%s = %s %s %s", i.Dst, opStr(i.X), i.Op, opStr(i.Y))
-}
-func (i *Unary) String() string { return fmt.Sprintf("%s = %s%s", i.Dst, i.Op, opStr(i.X)) }
-func (i *FieldLoad) String() string {
-	obj := "static"
-	if i.Obj != nil {
-		obj = i.Obj.String()
+// appendDst renders the "dst = " prefix of a value-producing
+// instruction; a nil dst renders as "<nil>".
+func appendDst(b []byte, dst *Local) []byte {
+	if dst == nil {
+		b = append(b, "<nil>"...)
+	} else {
+		b = append(b, dst.Name...)
 	}
-	return fmt.Sprintf("%s = %s.%s", i.Dst, obj, i.fieldName())
+	return append(b, " = "...)
 }
-func (i *FieldLoad) fieldName() string {
-	if i.Field != nil {
-		return i.Field.Name
+
+// appendField renders a field access as "obj.name": a static access
+// has no object and renders it as "static", and an unresolved field
+// renders its source name.
+func appendField(b []byte, obj *Local, f *types.Field, name string) []byte {
+	if obj == nil {
+		b = append(b, "static"...)
+	} else {
+		b = append(b, obj.Name...)
 	}
-	return i.Name
-}
-func (i *FieldStore) String() string {
-	obj := "static"
-	if i.Obj != nil {
-		obj = i.Obj.String()
+	if f != nil {
+		name = f.Name
 	}
-	name := i.Name
-	if i.Field != nil {
-		name = i.Field.Name
+	return append(append(b, '.'), name...)
+}
+
+func (c Const) appendTo(b []byte) []byte {
+	switch c.Kind {
+	case ConstInt:
+		return strconv.AppendInt(b, c.Int, 10)
+	case ConstBool:
+		return strconv.AppendBool(b, c.Bool)
+	case ConstString:
+		return strconv.AppendQuote(b, c.Str)
+	case ConstNull:
+		return append(b, "null"...)
 	}
-	return fmt.Sprintf("%s.%s = %s", obj, name, opStr(i.Val))
+	return append(b, '?')
 }
-func (i *ArrayLoad) String() string {
-	return fmt.Sprintf("%s = %s[%s]", i.Dst, opStr(i.Arr), opStr(i.Idx))
+
+func (i *Assign) AppendTo(b []byte) []byte {
+	return appendOperand(appendDst(b, i.Dst), i.Src)
 }
-func (i *ArrayStore) String() string {
-	return fmt.Sprintf("%s[%s] = %s", opStr(i.Arr), opStr(i.Idx), opStr(i.Val))
+
+func (i *Binary) AppendTo(b []byte) []byte {
+	b = appendOperand(appendDst(b, i.Dst), i.X)
+	b = append(append(append(b, ' '), i.Op...), ' ')
+	return appendOperand(b, i.Y)
 }
-func (i *New) String() string {
+
+func (i *Unary) AppendTo(b []byte) []byte {
+	return appendOperand(append(appendDst(b, i.Dst), i.Op...), i.X)
+}
+
+func (i *FieldLoad) AppendTo(b []byte) []byte {
+	return appendField(appendDst(b, i.Dst), i.Obj, i.Field, i.Name)
+}
+
+func (i *FieldStore) AppendTo(b []byte) []byte {
+	b = appendField(b, i.Obj, i.Field, i.Name)
+	return appendOperand(append(b, " = "...), i.Val)
+}
+
+func (i *ArrayLoad) AppendTo(b []byte) []byte {
+	b = append(appendOperand(appendDst(b, i.Dst), i.Arr), '[')
+	return append(appendOperand(b, i.Idx), ']')
+}
+
+func (i *ArrayStore) AppendTo(b []byte) []byte {
+	b = append(appendOperand(b, i.Arr), '[')
+	b = append(appendOperand(b, i.Idx), "] = "...)
+	return appendOperand(b, i.Val)
+}
+
+func (i *New) AppendTo(b []byte) []byte {
 	name := i.Name
 	if i.Class != nil {
 		name = i.Class.Name
 	}
-	return fmt.Sprintf("%s = new %s", i.Dst, name)
+	return append(append(appendDst(b, i.Dst), "new "...), name...)
 }
-func (i *NewArray) String() string { return fmt.Sprintf("%s = newarray[%s]", i.Dst, opStr(i.Len)) }
-func (i *Cast) String() string {
-	return fmt.Sprintf("%s = (%s) %s", i.Dst, i.To.SimpleName(), opStr(i.X))
+
+func (i *NewArray) AppendTo(b []byte) []byte {
+	b = append(appendDst(b, i.Dst), "newarray["...)
+	return append(appendOperand(b, i.Len), ']')
 }
-func (i *InstanceOf) String() string {
-	return fmt.Sprintf("%s = %s instanceof %s", i.Dst, opStr(i.X), i.Of.SimpleName())
+
+func (i *Cast) AppendTo(b []byte) []byte {
+	b = append(append(appendDst(b, i.Dst), '('), i.To.SimpleName()...)
+	return appendOperand(append(b, ") "...), i.X)
 }
-func (i *Call) String() string {
-	var sb strings.Builder
+
+func (i *InstanceOf) AppendTo(b []byte) []byte {
+	b = append(appendOperand(appendDst(b, i.Dst), i.X), " instanceof "...)
+	return append(b, i.Of.SimpleName()...)
+}
+
+func (i *Call) AppendTo(b []byte) []byte {
 	if i.Dst != nil {
-		fmt.Fprintf(&sb, "%s = ", i.Dst)
+		b = appendDst(b, i.Dst)
 	}
-	fmt.Fprintf(&sb, "%s ", i.Kind)
+	b = append(append(b, i.Kind.String()...), ' ')
 	if i.Recv != nil {
-		fmt.Fprintf(&sb, "%s.", i.Recv)
+		b = append(append(b, i.Recv.Name...), '.')
 	} else if i.StaticType != nil {
-		fmt.Fprintf(&sb, "%s.", i.StaticType.Simple)
+		b = append(append(b, i.StaticType.Simple...), '.')
 	}
-	fmt.Fprintf(&sb, "%s(", i.Name)
+	b = append(append(b, i.Name...), '(')
 	for n, a := range i.Args {
 		if n > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(opStr(a))
+		b = appendOperand(b, a)
 	}
-	sb.WriteString(")")
-	return sb.String()
+	return append(b, ')')
 }
-func (i *If) String() string     { return fmt.Sprintf("if %s", opStr(i.Cond)) }
-func (i *Goto) String() string   { return "goto" }
-func (i *Return) String() string { return fmt.Sprintf("return %s", opStr(i.Val)) }
-func (i *Throw) String() string  { return fmt.Sprintf("throw %s", opStr(i.Val)) }
+
+func (i *If) AppendTo(b []byte) []byte { return appendOperand(append(b, "if "...), i.Cond) }
+
+func (i *Goto) AppendTo(b []byte) []byte { return append(b, "goto"...) }
+
+func (i *Return) AppendTo(b []byte) []byte { return appendOperand(append(b, "return "...), i.Val) }
+
+func (i *Throw) AppendTo(b []byte) []byte { return appendOperand(append(b, "throw "...), i.Val) }
+
+func (i *Assign) String() string     { return string(i.AppendTo(nil)) }
+func (i *Binary) String() string     { return string(i.AppendTo(nil)) }
+func (i *Unary) String() string      { return string(i.AppendTo(nil)) }
+func (i *FieldLoad) String() string  { return string(i.AppendTo(nil)) }
+func (i *FieldStore) String() string { return string(i.AppendTo(nil)) }
+func (i *ArrayLoad) String() string  { return string(i.AppendTo(nil)) }
+func (i *ArrayStore) String() string { return string(i.AppendTo(nil)) }
+func (i *New) String() string        { return string(i.AppendTo(nil)) }
+func (i *NewArray) String() string   { return string(i.AppendTo(nil)) }
+func (i *Cast) String() string       { return string(i.AppendTo(nil)) }
+func (i *InstanceOf) String() string { return string(i.AppendTo(nil)) }
+func (i *Call) String() string       { return string(i.AppendTo(nil)) }
+func (i *If) String() string         { return string(i.AppendTo(nil)) }
+func (i *Goto) String() string       { return string(i.AppendTo(nil)) }
+func (i *Return) String() string     { return string(i.AppendTo(nil)) }
+func (i *Throw) String() string      { return string(i.AppendTo(nil)) }
 
 // Dump renders the function for debugging and golden tests.
 func (f *Func) Dump() string {

@@ -46,32 +46,42 @@ type IncrementalStats struct {
 	Full bool
 }
 
-// ExtractIncremental reloads sources and extracts policies for them,
-// reusing prev's per-entry policies wherever prev's dependency sets and
-// method hashes prove the analysis inputs are unchanged. The returned
-// library's policies are byte-identical (in the wire format, and in
-// diff -json reports) to a from-scratch Extract of the same sources
-// under the same options.
+// ExtractIncremental loads sources under prev's name and extracts
+// policies for them, reusing prev's per-entry policies wherever prev's
+// dependency sets and method hashes prove the analysis inputs are
+// unchanged. The returned library's policies are byte-identical (in the
+// wire format, and in diff -json reports) to a from-scratch Extract of
+// the same sources under the same options.
 //
 // prev must have been extracted under the same options (including the
 // CollectPaths/CollectGuards display flags, which shape in-memory
 // policies); otherwise the call transparently falls back to a full
 // extraction, reported via IncrementalStats.Full.
 func ExtractIncremental(prev *Library, sources map[string]string, opts Options) (*Library, *IncrementalStats, error) {
-	return ExtractIncrementalContext(context.Background(), prev, sources, opts)
-}
-
-// ExtractIncrementalContext is ExtractIncremental with cancellation,
-// observed between entry-point analyses exactly like ExtractContext.
-func ExtractIncrementalContext(ctx context.Context, prev *Library, sources map[string]string, opts Options) (*Library, *IncrementalStats, error) {
 	if prev == nil || prev.Policies == nil {
 		return nil, nil, ErrNoPrevious
 	}
-	opts = opts.Normalize()
 	lib, err := LoadLibrary(prev.Name, sources)
 	if err != nil {
 		return nil, nil, err
 	}
+	st, err := ExtractIncrementalContext(context.Background(), prev, lib, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return lib, st, nil
+}
+
+// ExtractIncrementalContext is ExtractIncremental on a library the
+// caller already loaded, with cancellation observed between entry-point
+// analyses exactly like ExtractContext. The store's update path calls
+// it on the library its upload validation loaded, so an update runs the
+// frontend once.
+func ExtractIncrementalContext(ctx context.Context, prev, lib *Library, opts Options) (*IncrementalStats, error) {
+	if prev == nil || prev.Policies == nil {
+		return nil, ErrNoPrevious
+	}
+	opts = opts.Normalize()
 	hashes, prevHashes := lib.methodHashes(opts.Domain), prev.hashes()
 	st := &IncrementalStats{HashedMethods: len(hashes), ChangedMethods: countChanged(prevHashes, hashes)}
 	var seed *SummaryCache
@@ -82,13 +92,14 @@ func ExtractIncrementalContext(ctx context.Context, prev *Library, sources map[s
 		// rebuild from scratch rather than guess.
 		st.Full = true
 	}
+	var err error
 	if st.Reanalyzed, err = lib.extract(ctx, opts, seed); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st.Entries = len(lib.Policies.Entries)
 	st.Reused = st.Entries - st.Reanalyzed
 	observeIncremental(opts.Telemetry, st, lib.EntryDeps)
-	return lib, st, nil
+	return st, nil
 }
 
 func countChanged(prev, cur map[string]string) int {

@@ -6,6 +6,7 @@ import (
 	"policyoracle/internal/corpus/gen"
 	"policyoracle/internal/metamorph"
 	"policyoracle/internal/oracle"
+	"policyoracle/internal/secmodel"
 )
 
 // BenchmarkExtractIncremental extracts a one-step metamorphic mutant of
@@ -41,3 +42,21 @@ func BenchmarkExtractIncremental(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Reanalyzed), "reanalyzed")
 }
+
+// BenchmarkMethodHashes hashes every method of the gen.Small jdk under
+// the default domain: the table each edit-stream PUT computes for its
+// new revision and persists in the store's sidecar.
+func BenchmarkMethodHashes(b *testing.B) {
+	lib, err := oracle.LoadLibrary("jdk", gen.Generate(gen.Small()).Sources["jdk"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := secmodel.SecurityManager()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchHashes = oracle.MethodHashes(lib.Prog, lib.Resolver, d)
+	}
+}
+
+var benchHashes map[string]string

@@ -3,9 +3,7 @@ package oracle
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
-	"strings"
+	"strconv"
 
 	"policyoracle/internal/callgraph"
 	"policyoracle/internal/ir"
@@ -35,105 +33,142 @@ import (
 // domains — exactly the property that keeps incremental reuse and
 // summary-cache splicing from crossing domains. When two methods collide
 // on signature (overloads whose parameter types share a simple name),
-// their hashes are combined so a change to either invalidates dependents
-// — matching how the analysis dependency sets conflate them.
+// their hashes are combined in declaration order, so a change to either
+// invalidates dependents — matching how the analysis dependency sets
+// conflate them.
+//
+// Each method's text is rendered into one reused buffer and digested in
+// one call, with no fmt formatting. The text is byte for byte what an
+// earlier fmt-based hasher wrote (irhash_ref_test.go keeps it as the
+// reference), so every persisted hash stays valid.
 func MethodHashes(prog *ir.Program, res *callgraph.Resolver, d *secmodel.Domain) map[string]string {
 	methods := prog.Types.AllMethods()
 	out := make(map[string]string, len(methods))
+	h := &methodHasher{prog: prog, res: res, d: d}
 	for _, m := range methods {
 		sig := m.Qualified()
-		h := methodHash(prog, res, d, m)
+		digest := h.method(m)
 		if prior, ok := out[sig]; ok {
-			h = combineHashes(prior, h)
+			digest = h.combine(prior, digest)
 		}
-		out[sig] = h
+		out[sig] = digest
 	}
 	return out
 }
 
-func methodHash(prog *ir.Program, res *callgraph.Resolver, d *secmodel.Domain, m *types.Method) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "method %s\n", m.Qualified())
-	fmt.Fprintf(h, "mods native=%t abstract=%t static=%t entry=%t priv-scope=%t params=%d\n",
-		m.IsNative(), m.IsAbstract(), m.IsStatic(), m.IsEntryPoint(),
-		d.IsPrivilegedScope(m), len(m.Params))
-	f := prog.FuncOf(m)
-	if f == nil {
-		io.WriteString(h, "nobody\n")
-		return hex.EncodeToString(h.Sum(nil))
-	}
-	for _, b := range f.Blocks {
-		fmt.Fprintf(h, "b%d:", b.Index)
-		for _, s := range b.Succs {
-			fmt.Fprintf(h, " b%d", s.Index)
-		}
-		io.WriteString(h, "\n")
-		for _, instr := range b.Instrs {
-			fmt.Fprintf(h, "  %s%s\n", instr.String(), instrFacts(prog, res, d, instr))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// methodHasher renders methods for hashing; buf is reused across them.
+type methodHasher struct {
+	prog *ir.Program
+	res  *callgraph.Resolver
+	d    *secmodel.Domain
+	buf  []byte
 }
 
-func combineHashes(a, b string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "overloads %s %s", a, b)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// instrFacts renders the resolution facts of one instruction — the part
-// of its analysis-visible behavior that its String() form (names only)
-// does not pin down.
-func instrFacts(prog *ir.Program, res *callgraph.Resolver, d *secmodel.Domain, instr ir.Instr) string {
-	switch in := instr.(type) {
-	case *ir.Call:
-		var b strings.Builder
-		if in.Declared != nil {
-			fmt.Fprintf(&b, " [decl=%s]", in.Declared.Qualified())
-		}
-		if id, ok := d.IdentifyCheck(in); ok {
-			fmt.Fprintf(&b, " [check=%d]", id)
-		}
-		if d.IsGetSecurityManager(in) {
-			b.WriteString(" [gsm]")
-		}
-		if d.IsDoPrivileged(in) {
-			writeRunFact(&b, prog, res, in)
-		}
-		if target := res.ResolveQuiet(in); target == nil {
-			b.WriteString(" [target=?]")
-		} else {
-			fmt.Fprintf(&b, " [target=%s native=%t body=%t]",
-				target.Qualified(), target.IsNative(), prog.FuncOf(target) != nil)
-		}
-		return b.String()
-	case *ir.FieldLoad:
-		return fieldFact(in.Field)
-	case *ir.FieldStore:
-		return fieldFact(in.Field)
-	}
-	return ""
-}
-
-// writeRunFact records which run() implementation a doPrivileged call
-// binds to (mirroring Analyzer.resolveRun), so changing an action class
-// invalidates every method that enters it via doPrivileged.
-func writeRunFact(b *strings.Builder, prog *ir.Program, res *callgraph.Resolver, c *ir.Call) {
-	if len(c.Args) > 0 {
-		if l, ok := c.Args[0].(*ir.Local); ok && l.Type.Class != nil {
-			if run := res.ResolveOn(l.Type.Class, "run", 0); run != nil {
-				fmt.Fprintf(b, " [dopriv run=%s native=%t body=%t]",
-					run.Qualified(), run.IsNative(), prog.FuncOf(run) != nil)
-				return
+func (h *methodHasher) method(m *types.Method) string {
+	b := append(h.buf[:0], "method "...)
+	b = append(b, m.Qualified()...)
+	b = strconv.AppendBool(append(b, "\nmods native="...), m.IsNative())
+	b = strconv.AppendBool(append(b, " abstract="...), m.IsAbstract())
+	b = strconv.AppendBool(append(b, " static="...), m.IsStatic())
+	b = strconv.AppendBool(append(b, " entry="...), m.IsEntryPoint())
+	b = strconv.AppendBool(append(b, " priv-scope="...), h.d.IsPrivilegedScope(m))
+	b = strconv.AppendInt(append(b, " params="...), int64(len(m.Params)), 10)
+	b = append(b, '\n')
+	if f := h.prog.FuncOf(m); f == nil {
+		b = append(b, "nobody\n"...)
+	} else {
+		for _, blk := range f.Blocks {
+			b = strconv.AppendInt(append(b, 'b'), int64(blk.Index), 10)
+			b = append(b, ':')
+			for _, s := range blk.Succs {
+				b = strconv.AppendInt(append(b, " b"...), int64(s.Index), 10)
+			}
+			b = append(b, '\n')
+			for _, instr := range blk.Instrs {
+				b = instr.AppendTo(append(b, "  "...))
+				b = append(h.appendFacts(b, instr), '\n')
 			}
 		}
 	}
-	b.WriteString(" [dopriv run=?]")
+	return h.digest(b)
 }
 
-func fieldFact(f *types.Field) string {
-	if f == nil {
-		return " [field=?]"
+// combine merges the hashes of two methods sharing a signature key. The
+// result depends on the order of a and b.
+func (h *methodHasher) combine(a, b string) string {
+	buf := append(h.buf[:0], "overloads "...)
+	buf = append(append(append(buf, a...), ' '), b...)
+	return h.digest(buf)
+}
+
+// digest returns the hex SHA-256 of b and keeps b's storage for reuse.
+func (h *methodHasher) digest(b []byte) string {
+	h.buf = b
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendFacts appends the resolution facts of one instruction — the part
+// of its analysis-visible behavior that its rendering (names only) does
+// not pin down.
+func (h *methodHasher) appendFacts(b []byte, instr ir.Instr) []byte {
+	switch in := instr.(type) {
+	case *ir.Call:
+		if in.Declared != nil {
+			b = append(append(append(b, " [decl="...), in.Declared.Qualified()...), ']')
+		}
+		if id, ok := h.d.IdentifyCheck(in); ok {
+			b = append(strconv.AppendInt(append(b, " [check="...), int64(id), 10), ']')
+		}
+		if h.d.IsGetSecurityManager(in) {
+			b = append(b, " [gsm]"...)
+		}
+		if h.d.IsDoPrivileged(in) {
+			b = h.appendRunFact(b, in)
+		}
+		if target := h.res.ResolveQuiet(in); target == nil {
+			b = append(b, " [target=?]"...)
+		} else {
+			b = h.appendTarget(append(b, " [target="...), target)
+		}
+	case *ir.FieldLoad:
+		b = appendFieldFact(b, in.Field)
+	case *ir.FieldStore:
+		b = appendFieldFact(b, in.Field)
 	}
-	return fmt.Sprintf(" [field=%s private=%t]", f.Qualified(), f.IsPrivate())
+	return b
+}
+
+// appendRunFact records which run() implementation a doPrivileged call
+// binds to (mirroring Analyzer.resolveRun), so changing an action class
+// invalidates every method that enters it via doPrivileged.
+func (h *methodHasher) appendRunFact(b []byte, c *ir.Call) []byte {
+	if len(c.Args) > 0 {
+		if l, ok := c.Args[0].(*ir.Local); ok && l.Type.Class != nil {
+			if run := h.res.ResolveOn(l.Type.Class, "run", 0); run != nil {
+				return h.appendTarget(append(b, " [dopriv run="...), run)
+			}
+		}
+	}
+	return append(b, " [dopriv run=?]"...)
+}
+
+// appendTarget closes a bound-method fact: the method and whether it is
+// native or has a body.
+func (h *methodHasher) appendTarget(b []byte, m *types.Method) []byte {
+	b = append(b, m.Qualified()...)
+	b = strconv.AppendBool(append(b, " native="...), m.IsNative())
+	b = strconv.AppendBool(append(b, " body="...), h.prog.FuncOf(m) != nil)
+	return append(b, ']')
+}
+
+func appendFieldFact(b []byte, f *types.Field) []byte {
+	if f == nil {
+		return append(b, " [field=?]"...)
+	}
+	b = append(append(append(append(b, " [field="...), f.Class.Name...), '.'), f.Name...)
+	b = strconv.AppendBool(append(b, " private="...), f.IsPrivate())
+	return append(b, ']')
 }

@@ -338,7 +338,7 @@ func (s *Server) handleLibraries(w http.ResponseWriter, r *http.Request) {
 	}
 	fp, created, err := s.st.Put(req.Name, req.Sources, req.Options)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, err)
+		s.failStore(w, err)
 		return
 	}
 	status := http.StatusOK

@@ -6,12 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"policyoracle"
 	"policyoracle/internal/server"
 	"policyoracle/internal/store"
+	"policyoracle/internal/telemetry"
 )
 
 const updateRuntimeMJ = `
@@ -191,6 +194,44 @@ func TestServerUpdateErrors(t *testing.T) {
 		var er server.ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Code != server.CodeBadRequest {
 			t.Errorf("%s envelope: %s (err %v)", name, body, err)
+		}
+	}
+}
+
+// A store that cannot write its files is the server's failure, not the
+// client's: with the store's bundles/ directory replaced by a regular
+// file, POST and PUT /v1/libraries both answer 500 extract_failed. A
+// file rather than a permission change, so the write fails even when
+// the test runs as root.
+func TestUploadWriteFailureIsServerError(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.New()
+	st, err := store.Open(store.Config{Dir: dir, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(st, server.Options{Registry: reg}))
+	t.Cleanup(ts.Close)
+	bundles := filepath.Join(dir, "bundles")
+	if err := os.Remove(bundles); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bundles, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]string{"rt.mj": updateRuntimeMJ, "lib.mj": updateLibV1MJ}
+	for route, send := range map[string]func() (*http.Response, []byte){
+		"POST": func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/libraries", server.UploadRequest{Name: "api", Sources: sources})
+		},
+		"PUT": func() (*http.Response, []byte) {
+			return putJSON(t, ts.URL+"/v1/libraries/api", server.UpdateRequest{Sources: sources})
+		},
+	} {
+		resp, body := send()
+		var er server.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusInternalServerError || er.Code != server.CodeExtractFailed {
+			t.Errorf("%s with an unwritable store: status %d: %s, want 500 %s", route, resp.StatusCode, body, server.CodeExtractFailed)
 		}
 	}
 }

@@ -161,9 +161,11 @@ type Store struct {
 	bundles, diffs, evictions            atomic.Uint64
 	backendHits, decodes                 atomic.Uint64
 
-	// extract extracts a bundle's policies, seeded from the previous
-	// revision when one is given; tests may stub it.
-	extract func(context.Context, *Bundle, *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error)
+	// load runs the frontend on one bundle's sources, and extract
+	// extracts a bundle's policies (see extractLibrary for its library
+	// arguments); tests may wrap either.
+	load    func(name string, sources map[string]string) (*oracle.Library, error)
+	extract func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error)
 }
 
 // flightCall is one in-flight load-or-extract. Waiters are refcounted:
@@ -211,7 +213,7 @@ func Open(cfg Config) (*Store, error) {
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
 	}
-	s.extract = s.extractLibrary
+	s.load, s.extract = oracle.LoadLibrary, s.extractLibrary
 	return s, nil
 }
 
@@ -250,47 +252,53 @@ func (s *Store) SaveCampaign(id string, result []byte) (string, error) {
 // Put fingerprints and persists a bundle, returning its address. A
 // re-upload of existing content is a no-op with created == false.
 func (s *Store) Put(name string, sources map[string]string, w OptionsWire) (fp string, created bool, err error) {
+	fp, created, _, err = s.put(name, sources, w)
+	return fp, created, err
+}
+
+// put is Put, also returning the library its validation loaded.
+func (s *Store) put(name string, sources map[string]string, w OptionsWire) (fp string, created bool, lib *oracle.Library, err error) {
 	if name == "" {
-		return "", false, fmt.Errorf("store: %w: empty library name", ErrInvalid)
+		return "", false, nil, fmt.Errorf("store: %w: empty library name", ErrInvalid)
 	}
 	if len(sources) == 0 {
-		return "", false, fmt.Errorf("store: %w: empty source bundle", ErrInvalid)
+		return "", false, nil, fmt.Errorf("store: %w: empty source bundle", ErrInvalid)
 	}
 	opts, err := w.ToOracle()
 	if err != nil {
 		// Double-wrap so callers can match both ErrInvalid and typed
 		// option errors like secmodel.ErrUnknownDomain.
-		return "", false, fmt.Errorf("store: %w: %w", ErrInvalid, err)
+		return "", false, nil, fmt.Errorf("store: %w: %w", ErrInvalid, err)
 	}
 	// Reject bundles that don't load: a broken upload should fail at Put,
 	// not poison every later extraction of its fingerprint.
-	if _, err := oracle.LoadLibrary(name, sources); err != nil {
-		return "", false, fmt.Errorf("store: %w: bundle does not load: %v", ErrInvalid, err)
+	if lib, err = s.load(name, sources); err != nil {
+		return "", false, nil, fmt.Errorf("store: %w: bundle does not load: %v", ErrInvalid, err)
 	}
 	fp = oracle.Fingerprint(name, sources, opts)
 	path := s.bundlePath(fp)
 	if _, err := os.Stat(path); err == nil {
 		if err := s.setLatestFingerprint(name, fp); err != nil {
-			return "", false, err
+			return "", false, nil, err
 		}
-		return fp, false, nil
+		return fp, false, lib, nil
 	}
 	data, err := json.MarshalIndent(&Bundle{
 		Fingerprint: fp, Name: name, Options: w, Sources: sources,
 	}, "", "  ")
 	if err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
+		return "", false, nil, fmt.Errorf("store: %w", err)
 	}
 	if err := WriteAtomic(path, data); err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
+		return "", false, nil, fmt.Errorf("store: %w", err)
 	}
 	s.bundles.Add(1)
 	s.tm.Bundles.Inc()
 	if err := s.setLatestFingerprint(name, fp); err != nil {
-		return "", false, err
+		return "", false, nil, err
 	}
 	s.log.Info("store: bundle created", "fingerprint", fp, "library", name, "files", len(sources))
-	return fp, true, nil
+	return fp, true, lib, nil
 }
 
 // latestFingerprint returns the most recently uploaded fingerprint for a
@@ -563,16 +571,17 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	if err != nil {
 		return nil, nil, err
 	}
-	blob, _, err := s.extractAndPersist(ctx, b, nil)
+	blob, _, err := s.extractAndPersist(ctx, b, nil, nil)
 	return blob, nil, err
 }
 
 // extractAndPersist is the store's one extraction path: cold reads call
-// it without a seed and Update with the previous revision. In one of the
-// store's extraction slots it extracts b's policies, incrementally from
-// prev when it is non-nil, then persists the policy blob and the
-// incremental sidecar. The stats are what the extraction measured.
-func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, prev *oracle.Library) ([]byte, *oracle.IncrementalStats, error) {
+// it with neither library, and Update with the library its upload
+// validation loaded and the previous revision. In one of the store's
+// extraction slots it extracts b's policies (see extractLibrary), then
+// persists the policy blob and the incremental sidecar. The stats are
+// what the extraction measured.
+func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *oracle.Library) ([]byte, *oracle.IncrementalStats, error) {
 	queued := time.Now()
 	select {
 	case s.sem <- struct{}{}:
@@ -593,7 +602,7 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, prev *oracle.L
 	fp := b.Fingerprint
 	s.log.Info("store: extraction start", "fingerprint", fp, "library", b.Name, "seeded", prev != nil)
 	start := time.Now()
-	lib, st, err := s.extract(ctx, b, prev)
+	lib, st, err := s.extract(ctx, b, lib, prev)
 	elapsed := time.Since(start)
 	s.tm.ExtractDuration.ObserveDuration(elapsed)
 	if err != nil {
@@ -661,11 +670,12 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, *pol
 	return nil, nil, false
 }
 
-// extractLibrary loads b and extracts its policies, incrementally from
-// prev when it is non-nil. Without prev the stats describe a full
-// extraction whose Reanalyzed is still measured: the process-wide summary
-// cache may splice entries here too.
-func (s *Store) extractLibrary(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+// extractLibrary extracts b's policies, incrementally from prev when it
+// is non-nil. lib is b's library when the caller already loaded it; when
+// it is nil, b's sources are loaded here. Without prev the stats
+// describe a full extraction whose Reanalyzed is still measured: the
+// process-wide summary cache may splice entries here too.
+func (s *Store) extractLibrary(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 	opts, err := b.Options.ToOracle()
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: bundle %s: %w: %w", b.Fingerprint, ErrInvalid, err)
@@ -678,11 +688,15 @@ func (s *Store) extractLibrary(ctx context.Context, b *Bundle, prev *oracle.Libr
 	// collecting it server-side, or the option keys would never match the
 	// sidecar's.
 	opts.CollectPaths, opts.CollectGuards = false, false
-	var lib *oracle.Library
+	if lib == nil {
+		if lib, err = s.load(b.Name, b.Sources); err != nil {
+			return nil, nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
+		}
+	}
 	st := &oracle.IncrementalStats{Full: true}
 	if prev != nil {
-		lib, st, err = oracle.ExtractIncrementalContext(ctx, prev, b.Sources, opts)
-	} else if lib, err = oracle.LoadLibrary(b.Name, b.Sources); err == nil {
+		st, err = oracle.ExtractIncrementalContext(ctx, prev, lib, opts)
+	} else {
 		err = lib.ExtractContext(ctx, opts)
 	}
 	if err != nil {

@@ -224,10 +224,10 @@ func TestConcurrentRequestsExtractOnce(t *testing.T) {
 	}
 	var calls atomic.Int64
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return inner(ctx, b, prev)
+		return inner(ctx, b, lib, prev)
 	}
 	const n = 16
 	blobs := make([][]byte, n)
@@ -363,14 +363,14 @@ func TestPoliciesContextCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	sawCancel := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
 			close(sawCancel)
 			return nil, nil, ctx.Err()
 		case <-time.After(10 * time.Second):
-			return inner(ctx, b, prev)
+			return inner(ctx, b, lib, prev)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -406,10 +406,10 @@ func TestCoalescedWaiterCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b, prev)
+		return inner(ctx, b, lib, prev)
 	}
 	done := make(chan error, 1)
 	go func() {

@@ -48,7 +48,7 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 	defer s.nameLock(name).Unlock()
 
 	prevFP, _ := s.latestFingerprint(name) // before Put moves the index
-	fp, created, err := s.Put(name, sources, w)
+	fp, created, lib, err := s.put(name, sources, w)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 		prev = s.loadIncrementalSeed(prevFP)
 	}
 	b := &Bundle{Fingerprint: fp, Name: name, Options: w, Sources: sources}
-	blob, st, err := s.extractAndPersist(ctx, b, prev)
+	blob, st, err := s.extractAndPersist(ctx, b, lib, prev)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"maps"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"policyoracle/internal/corpus/gen"
+	"policyoracle/internal/metamorph"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
@@ -59,9 +64,9 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		time.Sleep(50 * time.Millisecond) // let every reader coalesce
-		return inner(ctx, b, prev)
+		return inner(ctx, b, lib, prev)
 	}
 	const n = 8
 	var wg sync.WaitGroup
@@ -120,10 +125,10 @@ func TestMixedContextAndBackgroundWaiters(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b, prev)
+		return inner(ctx, b, lib, prev)
 	}
 
 	// Leader on a background context.
@@ -448,4 +453,148 @@ func TestUpdateReportsMeasuredReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	update("(b) no sidecar, warm cache", "fork", testSources(), false)
+}
+
+// A PUT runs the frontend once: Update extracts on the library its
+// upload validation loaded. An invalid revision is still rejected before
+// anything is written, and a cold read of a bundle that was only
+// uploaded loads it from bundles/.
+func TestUpdateLoadsFrontendOnce(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	var loaded, extractedOn []*oracle.Library
+	load, extract := s.load, s.extract
+	s.load = func(name string, sources map[string]string) (*oracle.Library, error) {
+		lib, err := load(name, sources)
+		loaded = append(loaded, lib)
+		return lib, err
+	}
+	s.extract = func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error) {
+		extractedOn = append(extractedOn, lib)
+		return extract(ctx, b, lib, prev)
+	}
+	ctx := context.Background()
+	v2 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}
+	for i, sources := range []map[string]string{testSources(), v2} {
+		loaded, extractedOn = nil, nil
+		res, err := s.Update(ctx, "a", sources, OptionsWire{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Incremental != (i == 1) {
+			t.Errorf("update %d: incremental = %v", i, res.Incremental)
+		}
+		if len(loaded) != 1 || len(extractedOn) != 1 || extractedOn[0] != loaded[0] {
+			t.Errorf("update %d: %d frontend loads, extracted on %v; want one load, extracted on the library it loaded",
+				i, len(loaded), extractedOn)
+		}
+	}
+
+	before := storeFiles(t, s.dir)
+	loaded, extractedOn = nil, nil
+	if _, err := s.Update(ctx, "a", map[string]string{"x.mj": "class { nonsense"}, OptionsWire{}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("invalid revision: err = %v, want ErrInvalid", err)
+	}
+	if len(extractedOn) != 0 {
+		t.Error("an invalid revision reached extraction")
+	}
+	if after := storeFiles(t, s.dir); !maps.Equal(before, after) {
+		t.Error("rejecting an invalid revision changed the store's files")
+	}
+
+	loaded, extractedOn = nil, nil
+	fp, _, err := s.Put("b", v2, OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := s.bundlePath(fp)
+	data, err := os.ReadFile(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(bundle); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Policies(fp); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("cold read without the bundle file: err = %v, want ErrNotFound", err)
+	}
+	if err := os.WriteFile(bundle, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Policies(fp); err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded) != 2 || len(extractedOn) != 1 || extractedOn[0] != nil {
+		t.Errorf("upload then cold read: %d frontend loads, extracted on %v; want Put's load plus the cold read's own", len(loaded), extractedOn)
+	}
+}
+
+// storeFiles maps every file under dir to its content.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// BenchmarkStoreUpdate measures one PUT of a single-step metamorphic
+// edit of the gen.Small jdk, seeded from the unedited revision: load,
+// hash, incremental extraction and the fsync'd writes of the bundle,
+// blob, sidecar and name index. Between iterations, with the timer
+// stopped, the edit's files are removed, the name index is pointed back
+// at the unedited revision and the process-wide summary cache is
+// emptied, so every iteration re-analyzes what the first one did.
+func BenchmarkStoreUpdate(b *testing.B) {
+	s, err := Open(Config{Dir: b.TempDir(), Parallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := gen.Generate(gen.Small()).Sources["jdk"]
+	var edit map[string]string
+	for seed := int64(1); edit == nil; seed++ {
+		src, applied, err := metamorph.MutateSources(base, seed, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(applied) > 0 {
+			edit = src
+		}
+	}
+	ctx := context.Background()
+	prev, err := s.Update(ctx, "jdk", base, OptionsWire{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *UpdateResult
+	for i := 0; i < b.N; i++ {
+		if res, err = s.Update(ctx, "jdk", edit, OptionsWire{}); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Created || !res.Incremental {
+			b.Fatalf("update was not a seeded extraction of new content: %+v", res)
+		}
+		b.StopTimer()
+		for _, path := range []string{s.bundlePath(res.Fingerprint), s.policyPath(res.Fingerprint), s.depsPath(res.Fingerprint)} {
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.setLatestFingerprint("jdk", prev.Fingerprint); err != nil {
+			b.Fatal(err)
+		}
+		s.sums = oracle.NewSummaryCache(0)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(res.Reanalyzed), "reanalyzed")
 }
