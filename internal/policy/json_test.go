@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -85,9 +86,80 @@ func TestImportRejectsBadInput(t *testing.T) {
 			{"entry":"A.f()","events":[{"kind":1,"must":["checkRead/1"],"may":["checkRead/1"],
 			 "origins":[{"check":"checkRead/9","methods":["A.f()"]}]}]}]}`,
 	}
+	// Only the exact name/arity spelling resolves; each of these once
+	// imported as checkRead/1 and re-exported as different bytes.
+	for _, tok := range []string{"checkRead/1x", "checkRead/+1", "checkRead/ 1", "checkRead/01", "checkRead/1 ", "checkRead/1/2"} {
+		cases["non-canonical "+tok] = `{"library":"x","version":1,"entries":[
+			{"entry":"A.f()","events":[{"kind":1,"must":[],"may":["` + tok + `"]}]}]}`
+	}
 	for name, src := range cases {
 		if _, err := ImportJSON([]byte(src)); err == nil {
 			t.Errorf("%s: import succeeded", name)
+		}
+	}
+}
+
+// TestImportRejectsRepeatedKeys pins the decoder's one narrowing of
+// encoding/json: a known key named twice in one object, exactly or by
+// case folding, is rejected with errDuplicateKey at any level.
+func TestImportRejectsRepeatedKeys(t *testing.T) {
+	for _, src := range []string{
+		`{"library":"x","library":"y","version":1,"entries":[]}`,
+		`{"library":"x","Library":"y","version":1,"entries":[]}`,
+		`{"library":"x","version":1,"entries":[],"entries":[]}`,
+		`{"library":"x","version":1,"entries":[{"entry":"e","entry":"f"}]}`,
+		`{"library":"x","version":1,"entries":[{"entry":"e","events":[{"kind":1,"kind":1}]}]}`,
+		`{"library":"x","version":1,"entries":[{"entry":"e","events":[{"kind":1,"origins":[
+			{"check":"checkRead/1","methods":[],"methods":[]}]}]}]}`,
+	} {
+		if _, err := ImportJSON([]byte(src)); !errors.Is(err, errDuplicateKey) {
+			t.Errorf("ImportJSON(%s) = %v, want errDuplicateKey", src, err)
+		}
+	}
+	// Unknown keys may repeat: they are skipped.
+	if _, err := ImportJSON([]byte(`{"x":1,"x":2,"library":"x","version":1,"entries":[]}`)); err != nil {
+		t.Errorf("repeated unknown key: %v", err)
+	}
+}
+
+// TestImportSurvivesHostileNesting feeds the decoder the shapes that
+// would overflow a recursive parser's stack or run it off the end of
+// the input. Each must be an ordinary error.
+func TestImportSurvivesHostileNesting(t *testing.T) {
+	deep := strings.Repeat("[", 1_000_000)
+	for name, src := range map[string]string{
+		"under an unknown key":   `{"library":"x","version":1,"x":` + deep,
+		"under entries":          `{"library":"x","version":1,"entries":` + deep,
+		"under events":           `{"library":"x","version":1,"entries":[{"entry":"e","events":` + deep,
+		"objects under a key":    `{"x":` + strings.Repeat(`{"a":`, 1_000_000),
+		"ends inside a string":   `{"library":"` + strings.Repeat("a", 4<<20),
+		"ends inside an escape":  `{"library":"` + strings.Repeat("a", 4<<20) + `\`,
+		"ends inside a skip":     `{"x":["` + strings.Repeat("a", 4<<20),
+		"closes the wrong thing": `{"x":[` + strings.Repeat("[", 5000) + strings.Repeat("}", 5001),
+	} {
+		if _, err := ImportJSON([]byte(src)); err == nil {
+			t.Errorf("%s: import succeeded", name)
+		}
+	}
+}
+
+// TestImportNestingLimit pins encoding/json's limit of 10,000 open
+// containers: the top-level object plus 9,999 arrays decode, one more
+// array does not, and the reference importer draws the line at the same
+// place.
+func TestImportNestingLimit(t *testing.T) {
+	doc := func(arrays int) []byte {
+		return []byte(`{"library":"x","version":1,"entries":[],"x":` +
+			strings.Repeat("[", arrays) + strings.Repeat("]", arrays) + `}`)
+	}
+	for _, tc := range []struct {
+		arrays int
+		ok     bool
+	}{{maxDepth - 1, true}, {maxDepth, false}} {
+		_, err := ImportJSON(doc(tc.arrays))
+		_, refErr := refImportJSON(doc(tc.arrays))
+		if (err == nil) != tc.ok || (refErr == nil) != tc.ok {
+			t.Errorf("%d nested arrays: ImportJSON error %v, reference error %v, want ok=%v", tc.arrays, err, refErr, tc.ok)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 // An entry also keeps the policy set decoded from exactly its blob, but
 // only once that blob has been decoded a second time while resident: a
-// decoded set is about 1.7× its blob and full of pointers for the GC to
+// decoded set is about 1.5× its blob and full of pointers for the GC to
 // scan, so a fingerprint read once (an upload diffed once, say) keeps
 // just its bytes.
 type blobLRU struct {

@@ -78,7 +78,7 @@ type Config struct {
 	// 128, and a negative value disables the in-memory cache entirely
 	// (every read is served from disk or extraction). An entry holds its
 	// blob and, once the blob has been decoded twice, its decoded policy
-	// set (about 1.7× the blob).
+	// set (about 1.5× the blob).
 	CacheEntries int
 	// Parallel is the oracle worker count per extraction
 	// (oracle.Options.Parallel; <= 0 means GOMAXPROCS).
