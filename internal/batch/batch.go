@@ -12,6 +12,18 @@
 //
 // The package is shared by the server handler and the CLI batch client
 // so the two cannot drift.
+//
+// The server writes each envelope with json.Encoder. The client reads
+// the stream one line at a time into one reused buffer and decodes each
+// line in one pass on a jsonread.Reader, without reflection. It accepts
+// exactly the lines json.Unmarshal would decode into an ItemResult, with
+// the same result, except a line that names a known key twice. An
+// unescaped payload is base64-decoded straight from the line. Framing
+// is NDJSON: one envelope per line, and blank lines are skipped. A line
+// with anything after its envelope, or an envelope spread over several
+// lines, is an error. After the last envelope the client reads the
+// stream to its end, so the connection goes back to the transport's
+// pool and the next request reuses it.
 package batch
 
 import "fmt"

@@ -47,7 +47,9 @@ func TestItemRouteKey(t *testing.T) {
 
 // TestResultPayloadRoundTrip pins the byte-identity transport contract:
 // payload bytes survive the JSON envelope exactly, including trailing
-// newlines and characters an HTML-escaping raw embedding would mangle.
+// newlines and characters an HTML-escaping raw embedding would mangle,
+// whether the envelope is read by encoding/json or by the client's
+// one-pass decoder.
 func TestResultPayloadRoundTrip(t *testing.T) {
 	payload := []byte("{\n  \"a\": \"<&>\",\n  \"b\": 1\n}\n")
 	line, err := json.Marshal(ItemResult{Index: 3, Op: OpDiff, Status: 200, Result: payload})
@@ -60,5 +62,12 @@ func TestResultPayloadRoundTrip(t *testing.T) {
 	}
 	if string(got.Result) != string(payload) {
 		t.Fatalf("payload mutated in transit:\n%q\n%q", got.Result, payload)
+	}
+	got, err = decodeResult(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Result) != string(payload) || got.Index != 3 || got.Op != OpDiff || got.Status != 200 {
+		t.Fatalf("one-pass decode differs: %+v", got)
 	}
 }

@@ -223,7 +223,8 @@ func (c *Client) runChunk(ctx context.Context, httpc *http.Client, member string
 	}
 }
 
-// postChunk performs one POST /v1/batch and drains its NDJSON stream.
+// postChunk performs one POST /v1/batch and reads its NDJSON stream to
+// the end, so the connection goes back to the transport's pool.
 func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member string,
 	items []Item, indices []int, results []ItemResult, filled []bool, mu *sync.Mutex) error {
 	req := Request{Items: make([]Item, len(indices))}
@@ -254,11 +255,10 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 		}
 		return err
 	}
-	dec := json.NewDecoder(resp.Body)
-	got := 0
-	for got < len(indices) {
-		var res ItemResult
-		if err := dec.Decode(&res); err != nil {
+	st := newStream(resp.Body)
+	for got := 0; got < len(indices); got++ {
+		res, err := st.next()
+		if err != nil {
 			return fmt.Errorf("batch: stream from %s ended after %d of %d items: %w",
 				member, got, len(indices), err)
 		}
@@ -271,7 +271,7 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 		results[global] = res
 		filled[global] = true
 		mu.Unlock()
-		got++
 	}
+	st.drain()
 	return nil
 }

@@ -1,16 +1,13 @@
 package policy
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
+	"policyoracle/internal/jsonread"
 	"policyoracle/internal/secmodel"
 )
 
@@ -161,29 +158,20 @@ func (pp *ProgramPolicies) ExportJSON() ([]byte, error) {
 // ImportJSON reconstructs shared policies. The result is directly usable
 // by diff.Compare against locally extracted policies.
 //
-// It decodes the bytes in one pass, building the policies as it reads,
-// and accepts exactly the documents encoding/json would decode into
-// jsonPolicies, with the same result, except one: an object that names
-// a known key twice is rejected (errDuplicateKey).
+// It decodes the bytes in one pass on a jsonread.Reader, building the
+// policies as it reads, and accepts exactly the documents encoding/json
+// would decode into jsonPolicies, with the same result, except one: an
+// object that names a known key twice is rejected
+// (jsonread.ErrDuplicateKey).
 func ImportJSON(data []byte) (*ProgramPolicies, error) {
 	// An exported blob holds about one distinct string per 512 bytes.
-	d := decoder{data: data, strs: make(map[string]string, min(len(data)/512, 4096))}
+	d := decoder{Reader: jsonread.New(data), strs: make(map[string]string, min(len(data)/512, 4096))}
 	pp, err := d.document()
 	if err != nil {
 		return nil, fmt.Errorf("policy import: %w", err)
 	}
 	return pp, nil
 }
-
-// maxDepth is encoding/json's nesting limit; deeper input is a syntax
-// error there, so it is one here.
-const maxDepth = 10000
-
-// errDuplicateKey rejects an object that names one known key twice.
-// encoding/json would keep the last scalar and decode a repeated array
-// element by element into the first one's elements. No writer produces
-// such a blob, and accepting one means guessing what it says.
-var errDuplicateKey = errors.New("repeated key")
 
 // The known keys of each wire object, in jsonPolicies field order, and
 // their indexes. Any other key is skipped.
@@ -199,31 +187,14 @@ const (
 	keyEntry, keyEvents                           = 0, 1
 	keyKind, keyKey, keyMust, keyMay, keyOrigins  = 0, 1, 2, 3, 4
 	keyCheck, keyMethods                          = 0, 1
-	keyUnknown                                    = -1
 )
 
-// decoder is ImportJSON's single-pass reader. It accepts only a document
-// that is valid JSON throughout, inside skipped values too, and decides
-// every value the way encoding/json decides it for the wire structs:
-//
-//   - a key matches exactly after unescaping, or else under
-//     bytes.EqualFold;
-//   - null leaves a string or int unchanged and an array empty, and a
-//     null array element is the element's zero value;
-//   - a value of the wrong JSON type for a known key is an error, and
-//     kind and version must parse with strconv.ParseInt;
-//   - strings decode escapes, surrogate pairs and invalid UTF-8 exactly
-//     as encoding/json does, by handing it any string that needs it.
-//
-// Errors are sticky: after the first, every step is a no-op. The only
-// recursion follows the fixed wire schema, eight containers deep;
-// skipped values are walked with an explicit stack.
+// decoder is ImportJSON's schema: it walks the wire objects on its
+// Reader, which decides every value as encoding/json would. A null array
+// element is the element's zero value. The only recursion follows the
+// fixed wire schema, eight containers deep.
 type decoder struct {
-	data  []byte
-	pos   int
-	depth int   // containers open at pos
-	first bool  // the container just opened has not been asked for a member yet
-	err   error // the first error
+	jsonread.Reader
 
 	// Check tokens resolve against dom. When the entries come before any
 	// domain key, dom is provisionally the default domain: a token it
@@ -237,7 +208,6 @@ type decoder struct {
 	strs    map[string]string // interned entry signatures, event keys and methods
 	list    []*EntryPolicy    // decoded entries, in document order
 	origins []originMethod    // the current event's origins
-	stack   []byte            // skip's open containers
 }
 
 // originMethod is one method of a decoded origin.
@@ -246,50 +216,37 @@ type originMethod struct {
 	method string
 }
 
-func (d *decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *decoder) syntaxError(what string) {
-	d.fail(fmt.Errorf("invalid JSON at offset %d: %s", d.pos, what))
-}
-
-func (d *decoder) typeError(want string) {
-	d.fail(fmt.Errorf("offset %d: want %s", d.pos, want))
-}
-
 // document decodes the top-level object.
 func (d *decoder) document() (*ProgramPolicies, error) {
 	var (
-		lib, domID string
-		version    int
-		seen       uint8
-		entriesAt  = -1
+		lib, domID  string
+		version     int
+		seen        uint64
+		entriesAt   jsonread.Mark
+		haveEntries bool
 	)
-	if !d.open('{') {
-		if d.err == nil {
+	if !d.Open('{') {
+		if d.Err() == nil {
 			// encoding/json leaves the wire struct zero for a top-level null.
-			d.err = errors.New("unsupported version 0")
+			return nil, errors.New("unsupported version 0")
 		}
-		return nil, d.err
+		return nil, d.Err()
 	}
-	for d.more('}') {
-		switch d.key(docKeys, &seen) {
+	for d.More('}') {
+		switch d.Key(docKeys, &seen) {
 		case keyLibrary:
-			lib = d.stringValue(lib)
+			lib = d.String(lib)
 		case keyDomain:
-			domID = d.stringValue(domID)
+			domID = d.String(domID)
 		case keyVersion:
-			version = d.intValue(version)
+			version = d.Int(version)
 		case keyEntries:
-			entriesAt = d.pos
+			entriesAt, haveEntries = d.Mark(), true
 			d.dom, d.provisional = secmodel.SecurityManager(), seen&(1<<keyDomain) == 0
 			if !d.provisional {
 				dom, err := secmodel.ResolveDomain(domID)
 				if err != nil {
-					d.fail(err)
+					d.Fail(err)
 					break
 				}
 				d.dom = dom
@@ -297,14 +254,11 @@ func (d *decoder) document() (*ProgramPolicies, error) {
 			d.tokens = tokenTable(d.dom)
 			d.entries()
 		default:
-			d.skip()
+			d.Skip()
 		}
 	}
-	if d.next(); d.err == nil && d.pos != len(d.data) {
-		d.syntaxError("data after the top-level object")
-	}
-	if d.err != nil {
-		return nil, d.err
+	if d.End(); d.Err() != nil {
+		return nil, d.Err()
 	}
 	if version != wireVersion {
 		return nil, fmt.Errorf("unsupported version %d", version)
@@ -316,16 +270,16 @@ func (d *decoder) document() (*ProgramPolicies, error) {
 	if err != nil {
 		return nil, err
 	}
-	if entriesAt >= 0 && (dom != d.dom || d.unresolved) {
+	if haveEntries && (dom != d.dom || d.unresolved) {
 		// The entries were read under the provisional default domain, and
 		// a later domain key names another or a token did not resolve:
 		// decode them again under the final domain, where an unknown
 		// token is an error.
-		d.pos, d.depth = entriesAt, 1
+		d.Rewind(entriesAt)
 		d.dom, d.tokens, d.provisional = dom, tokenTable(dom), false
 		d.list = d.list[:0]
-		if d.entries(); d.err != nil {
-			return nil, d.err
+		if d.entries(); d.Err() != nil {
+			return nil, d.Err()
 		}
 	}
 	pp := &ProgramPolicies{Library: lib, Entries: make(map[string]*EntryPolicy, len(d.list))}
@@ -339,8 +293,8 @@ func (d *decoder) document() (*ProgramPolicies, error) {
 }
 
 func (d *decoder) entries() {
-	if d.open('[') {
-		for d.more(']') {
+	if d.Open('[') {
+		for d.More(']') {
 			d.list = append(d.list, d.entry())
 		}
 	}
@@ -349,22 +303,22 @@ func (d *decoder) entries() {
 // entry decodes one entry; a null element is the entry named "".
 func (d *decoder) entry() *EntryPolicy {
 	ep := &EntryPolicy{Events: make(map[secmodel.Event]*EventPolicy)}
-	if !d.open('{') {
+	if !d.Open('{') {
 		return ep
 	}
-	var seen uint8
-	for d.more('}') {
-		switch d.key(entryKeys, &seen) {
+	var seen uint64
+	for d.More('}') {
+		switch d.Key(entryKeys, &seen) {
 		case keyEntry:
 			ep.Entry = d.internValue(ep.Entry)
 		case keyEvents:
-			if d.open('[') {
-				for d.more(']') {
+			if d.Open('[') {
+				for d.More(']') {
 					d.event(ep)
 				}
 			}
 		default:
-			d.skip()
+			d.Skip()
 		}
 	}
 	return ep
@@ -377,14 +331,14 @@ func (d *decoder) event(ep *EntryPolicy) {
 	var (
 		ev        secmodel.Event
 		must, may CheckSet
-		seen      uint8
+		seen      uint64
 	)
 	d.origins = d.origins[:0]
-	if d.open('{') {
-		for d.more('}') {
-			switch d.key(eventKeys, &seen) {
+	if d.Open('{') {
+		for d.More('}') {
+			switch d.Key(eventKeys, &seen) {
 			case keyKind:
-				ev.Kind = secmodel.EventKind(d.intValue(int(ev.Kind)))
+				ev.Kind = secmodel.EventKind(d.Int(int(ev.Kind)))
 			case keyKey:
 				ev.Key = d.internValue(ev.Key)
 			case keyMust:
@@ -392,17 +346,17 @@ func (d *decoder) event(ep *EntryPolicy) {
 			case keyMay:
 				may = d.checkSet()
 			case keyOrigins:
-				if d.open('[') {
-					for d.more(']') {
+				if d.Open('[') {
+					for d.More(']') {
 						d.origin()
 					}
 				}
 			default:
-				d.skip()
+				d.Skip()
 			}
 		}
 	}
-	if d.err != nil {
+	if d.Err() != nil {
 		return
 	}
 	evp := ep.EventPolicyFor(ev)
@@ -418,22 +372,22 @@ func (d *decoder) event(ep *EntryPolicy) {
 func (d *decoder) origin() {
 	var (
 		check []byte
-		seen  uint8
+		seen  uint64
 	)
 	lo := len(d.origins)
-	if d.open('{') {
-		for d.more('}') {
-			switch d.key(originKeys, &seen) {
+	if d.Open('{') {
+		for d.More('}') {
+			switch d.Key(originKeys, &seen) {
 			case keyCheck:
-				check = d.tokenValue()
+				check, _ = d.StringOrNull()
 			case keyMethods:
-				if d.open('[') {
-					for d.more(']') {
+				if d.Open('[') {
+					for d.More(']') {
 						d.origins = append(d.origins, originMethod{method: d.internValue("")})
 					}
 				}
 			default:
-				d.skip()
+				d.Skip()
 			}
 		}
 	}
@@ -443,11 +397,14 @@ func (d *decoder) origin() {
 	}
 }
 
+// checkSet decodes a set of check tokens; a null token is the empty
+// token, which never resolves.
 func (d *decoder) checkSet() CheckSet {
 	var s CheckSet
-	if d.open('[') {
-		for d.more(']') {
-			s = s.With(d.check(d.tokenValue()))
+	if d.Open('[') {
+		for d.More(']') {
+			tok, _ := d.StringOrNull()
+			s = s.With(d.check(tok))
 		}
 	}
 	return s
@@ -464,99 +421,14 @@ func (d *decoder) check(tok []byte) secmodel.CheckID {
 		return 0
 	}
 	id, err := checkFromWire(d.dom, string(tok)) // fails: the token is not in the table
-	d.fail(err)
+	d.Fail(err)
 	return id
 }
 
-// open enters a container opened by c, reporting whether it did. A null
-// leaves the field as it was, as encoding/json does; any other type is
-// an error.
-func (d *decoder) open(c byte) bool {
-	if d.err != nil {
-		return false
-	}
-	switch d.next() {
-	case c:
-		d.pos++
-		d.depth++
-		d.first = true
-		return true
-	case 'n':
-		d.literal("null")
-		return false
-	}
-	if c == '{' {
-		d.typeError("an object")
-	} else {
-		d.typeError("an array")
-	}
-	return false
-}
-
-// more reports whether another member or element of the container closed
-// by close follows, consuming the comma before it or the closer.
-func (d *decoder) more(close byte) bool {
-	if d.err != nil {
-		return false
-	}
-	c := d.next()
-	switch {
-	case d.first:
-		d.first = false
-		if c != close {
-			return true
-		}
-	case c == ',':
-		d.pos++
-		return true
-	case c != close:
-		d.syntaxError("want , or " + string(close))
-		return false
-	}
-	d.pos++
-	d.depth--
-	return false
-}
-
-// key reads a member's key and colon and returns the index of the known
-// key it names, or keyUnknown. Keys match as encoding/json matches field
-// names: exactly, or else under bytes.EqualFold.
-func (d *decoder) key(keys []string, seen *uint8) int {
-	k := d.memberKey()
-	if d.err != nil {
-		return keyUnknown
-	}
-	f := keyUnknown
-	for i, name := range keys {
-		if string(k) == name {
-			f = i
-			break
-		}
-	}
-	if f == keyUnknown {
-		f = slices.IndexFunc(keys, func(name string) bool { return bytes.EqualFold(k, []byte(name)) })
-	}
-	if f != keyUnknown {
-		if *seen&(1<<f) != 0 {
-			d.fail(fmt.Errorf("offset %d: %w %q", d.pos, errDuplicateKey, keys[f]))
-			return keyUnknown
-		}
-		*seen |= 1 << f
-	}
-	return f
-}
-
-// stringValue decodes a string field; null leaves old unchanged.
-func (d *decoder) stringValue(old string) string {
-	if b, ok := d.stringOrNull(); ok {
-		return string(b)
-	}
-	return old
-}
-
-// internValue is stringValue for strings a blob repeats.
+// internValue decodes a string field like Reader.String, interning
+// strings a blob repeats.
 func (d *decoder) internValue(old string) string {
-	b, ok := d.stringOrNull()
+	b, ok := d.StringOrNull()
 	if !ok {
 		return old
 	}
@@ -566,255 +438,4 @@ func (d *decoder) internValue(old string) string {
 	s := string(b)
 	d.strs[s] = s
 	return s
-}
-
-// tokenValue decodes a check token; null is the empty token.
-func (d *decoder) tokenValue() []byte {
-	b, _ := d.stringOrNull()
-	return b
-}
-
-// stringOrNull decodes a string, reporting false for null or an error.
-func (d *decoder) stringOrNull() ([]byte, bool) {
-	if d.err != nil {
-		return nil, false
-	}
-	switch d.next() {
-	case '"':
-		b := d.str()
-		return b, d.err == nil
-	case 'n':
-		d.literal("null")
-		return nil, false
-	}
-	d.typeError("a string")
-	return nil, false
-}
-
-// intValue decodes an int field; null leaves old unchanged. Like
-// encoding/json it takes a number that strconv.ParseInt accepts and that
-// fits an int: "-0" is 0, but "1.0" and "1e0" are errors.
-func (d *decoder) intValue(old int) int {
-	if d.err != nil {
-		return old
-	}
-	c := d.next()
-	if c == 'n' {
-		d.literal("null")
-		return old
-	}
-	if c != '-' && (c < '0' || c > '9') {
-		d.typeError("a number")
-		return old
-	}
-	tok := d.number()
-	if d.err != nil {
-		return old
-	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil || int64(int(n)) != n {
-		d.typeError("an integer")
-		return old
-	}
-	return int(n)
-}
-
-// stringByte marks the bytes that end str's fast scan: the closing
-// quote, a backslash, control characters and non-ASCII bytes.
-var stringByte = func() (t [256]bool) {
-	for c := range t {
-		t[c] = c < ' ' || c == '"' || c == '\\' || c >= utf8.RuneSelf
-	}
-	return t
-}()
-
-// str decodes the string literal at pos. A plain ASCII string is sliced
-// from the input. One with an escape or a non-ASCII byte is handed to
-// json.Unmarshal on its own, which decodes escapes, surrogate pairs and
-// invalid UTF-8 exactly as a whole-document Unmarshal does.
-func (d *decoder) str() []byte {
-	start := d.pos + 1
-	plain := true
-	p := start
-	for ; p < len(d.data); p++ {
-		c := d.data[p]
-		if !stringByte[c] {
-			continue
-		}
-		if c == '"' {
-			break
-		}
-		if c < ' ' {
-			d.pos = p
-			d.syntaxError("control character in string")
-			return nil
-		}
-		plain = false
-		if c == '\\' {
-			p++
-		}
-	}
-	if p >= len(d.data) {
-		d.pos = len(d.data)
-		d.syntaxError("unterminated string")
-		return nil
-	}
-	lit := d.data[start-1 : p+1]
-	d.pos = p + 1
-	if plain {
-		return lit[1 : len(lit)-1]
-	}
-	var s string
-	if err := json.Unmarshal(lit, &s); err != nil {
-		d.fail(err)
-		return nil
-	}
-	return []byte(s)
-}
-
-// number passes over a JSON number and returns its text.
-func (d *decoder) number() []byte {
-	start, p := d.pos, d.pos
-	digits := func() bool {
-		q := p
-		for p < len(d.data) && '0' <= d.data[p] && d.data[p] <= '9' {
-			p++
-		}
-		return p > q
-	}
-	if p < len(d.data) && d.data[p] == '-' {
-		p++
-	}
-	switch {
-	case p < len(d.data) && d.data[p] == '0':
-		p++
-	case !digits():
-		d.syntaxError("want a value")
-		return nil
-	}
-	if p < len(d.data) && d.data[p] == '.' {
-		if p++; !digits() {
-			d.pos = p
-			d.syntaxError("want a digit")
-			return nil
-		}
-	}
-	if p < len(d.data) && (d.data[p] == 'e' || d.data[p] == 'E') {
-		if p++; p < len(d.data) && (d.data[p] == '+' || d.data[p] == '-') {
-			p++
-		}
-		if !digits() {
-			d.pos = p
-			d.syntaxError("want a digit")
-			return nil
-		}
-	}
-	d.pos = p
-	return d.data[start:p]
-}
-
-func (d *decoder) literal(lit string) {
-	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
-		d.syntaxError("want " + lit)
-		return
-	}
-	d.pos += len(lit)
-}
-
-// next skips whitespace and returns the byte at pos, or 0 at the end of
-// the input.
-func (d *decoder) next() byte {
-	data, p := d.data, d.pos
-	for ; p < len(data); p++ {
-		c := data[p]
-		if c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
-			d.pos = p
-			return c
-		}
-		if c == '\n' {
-			// An exported blob indents its lines with spaces: pass them
-			// eight at a time, leaving p on the last one passed.
-			for p+9 <= len(data) && binary.LittleEndian.Uint64(data[p+1:]) == 0x2020202020202020 {
-				p += 8
-			}
-		}
-	}
-	d.pos = p
-	return 0
-}
-
-// skip checks and passes over one value of any type: the value of an
-// unknown key. It keeps its open containers on an explicit stack, so
-// hostile nesting costs a byte a level, never a goroutine stack frame,
-// and it stops at maxDepth as encoding/json does.
-func (d *decoder) skip() {
-	d.stack = d.stack[:0]
-	for d.err == nil {
-		// A value starts at pos.
-		switch c := d.next(); c {
-		case '{', '[':
-			d.pos++
-			if d.depth++; d.depth > maxDepth {
-				d.syntaxError("nesting exceeds the depth limit")
-				return
-			}
-			if d.next() == c+2 { // '}' and ']' follow their openers by two
-				d.pos++
-				d.depth--
-				break
-			}
-			d.stack = append(d.stack, c)
-			if c == '{' {
-				d.memberKey()
-			}
-			continue
-		case '"':
-			d.str()
-		case 't':
-			d.literal("true")
-		case 'f':
-			d.literal("false")
-		case 'n':
-			d.literal("null")
-		default:
-			d.number()
-		}
-		// A value ended: close the containers it completes, then step to
-		// the next member or element.
-		for d.err == nil {
-			if len(d.stack) == 0 {
-				return
-			}
-			top := d.stack[len(d.stack)-1]
-			c := d.next()
-			if c == ',' {
-				d.pos++
-				if top == '{' {
-					d.memberKey()
-				}
-				break
-			}
-			if c != top+2 {
-				d.syntaxError("want , or " + string(top+2))
-				return
-			}
-			d.pos++
-			d.depth--
-			d.stack = d.stack[:len(d.stack)-1]
-		}
-	}
-}
-
-// memberKey decodes a member's key and passes over the colon after it.
-func (d *decoder) memberKey() []byte {
-	if d.next() != '"' {
-		d.syntaxError("want an object key")
-		return nil
-	}
-	k := d.str()
-	if d.err == nil && d.next() != ':' {
-		d.syntaxError("want :")
-	}
-	d.pos++
-	return k
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"policyoracle/internal/jsonread"
 	"policyoracle/internal/secmodel"
 )
 
@@ -13,10 +14,11 @@ import (
 // production, so both decoders resolve check tokens by one rule.
 
 // RefImportJSON and ErrDuplicateKey expose the reference importer and
-// the repeated-key sentinel to the package's external tests.
+// the shared reader's repeated-key sentinel to the package's external
+// tests.
 var (
 	RefImportJSON   = refImportJSON
-	ErrDuplicateKey = errDuplicateKey
+	ErrDuplicateKey = jsonread.ErrDuplicateKey
 )
 
 // checkTokens resolves the check tokens of one import. A blob repeats a

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"policyoracle/internal/jsonread"
 	"policyoracle/internal/secmodel"
 )
 
@@ -101,7 +102,7 @@ func TestImportRejectsBadInput(t *testing.T) {
 
 // TestImportRejectsRepeatedKeys pins the decoder's one narrowing of
 // encoding/json: a known key named twice in one object, exactly or by
-// case folding, is rejected with errDuplicateKey at any level.
+// case folding, is rejected with jsonread.ErrDuplicateKey at any level.
 func TestImportRejectsRepeatedKeys(t *testing.T) {
 	for _, src := range []string{
 		`{"library":"x","library":"y","version":1,"entries":[]}`,
@@ -112,8 +113,8 @@ func TestImportRejectsRepeatedKeys(t *testing.T) {
 		`{"library":"x","version":1,"entries":[{"entry":"e","events":[{"kind":1,"origins":[
 			{"check":"checkRead/1","methods":[],"methods":[]}]}]}]}`,
 	} {
-		if _, err := ImportJSON([]byte(src)); !errors.Is(err, errDuplicateKey) {
-			t.Errorf("ImportJSON(%s) = %v, want errDuplicateKey", src, err)
+		if _, err := ImportJSON([]byte(src)); !errors.Is(err, jsonread.ErrDuplicateKey) {
+			t.Errorf("ImportJSON(%s) = %v, want jsonread.ErrDuplicateKey", src, err)
 		}
 	}
 	// Unknown keys may repeat: they are skipped.
@@ -155,7 +156,7 @@ func TestImportNestingLimit(t *testing.T) {
 	for _, tc := range []struct {
 		arrays int
 		ok     bool
-	}{{maxDepth - 1, true}, {maxDepth, false}} {
+	}{{jsonread.MaxDepth - 1, true}, {jsonread.MaxDepth, false}} {
 		_, err := ImportJSON(doc(tc.arrays))
 		_, refErr := refImportJSON(doc(tc.arrays))
 		if (err == nil) != tc.ok || (refErr == nil) != tc.ok {
