@@ -432,24 +432,21 @@ func (s *Server) extract(ctx context.Context, fp, domain string) ([]byte, *failu
 // diff returns the canonical wire bytes of a's and b's comparison:
 // identical to `polora diff -json` output and to the report the drift
 // timeline records a digest of. A non-empty domain asserts the compared
-// policies' domain. It serves /v1/diff and batch diff items.
+// policies' domain. It serves /v1/diff and batch diff items, a repeated
+// pair from the store's report cache.
 func (s *Server) diff(ctx context.Context, a, b, domain string) ([]byte, *failure) {
 	want, f := s.assertedDomain(domain)
 	if f != nil {
 		return nil, f
 	}
-	rep, err := s.st.DiffContext(ctx, a, b)
+	wire, dom, err := s.st.DiffWire(ctx, a, b)
 	if err != nil {
 		return nil, storeFailure(err)
 	}
-	if want != "" && domainLabel(rep.Domain) != want {
+	if want != "" && domainLabel(dom) != want {
 		return nil, &failure{http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-				domainLabel(rep.Domain), want)}
-	}
-	wire, err := rep.EncodeJSON()
-	if err != nil {
-		return nil, &failure{http.StatusInternalServerError, CodeExtractFailed, err}
+				domainLabel(dom), want)}
 	}
 	return wire, nil
 }

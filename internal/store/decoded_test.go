@@ -103,22 +103,27 @@ func TestDecodedSetRetainedOnReuse(t *testing.T) {
 	if resident(s, fpB) {
 		t.Fatal("b was not evicted")
 	}
-	// Read back from disk, fpB is a fresh entry: its validating decode
-	// counts as the first, so the next reader's decode retains.
+	// Read back from disk, fpB is a fresh entry. Its digest verified it
+	// without a decode, so the next reader's decode is the first and the
+	// one after retains.
+	before = s.Stats().Decodes
 	if _, err := s.Policies(fpB); err != nil {
 		t.Fatal(err)
 	}
-	if retained(s, fpB) {
-		t.Error("eviction did not drop b's decoded set")
+	if n := s.Stats().Decodes - before; n != 0 || retained(s, fpB) {
+		t.Errorf("disk read of b: %d decodes, retained=%v; want 0, false", n, retained(s, fpB))
 	}
-	if _, err := s.PolicySet(fpB); err != nil {
-		t.Fatal(err)
-	}
-	if !retained(s, fpB) {
-		t.Error("second decode of b's resident blob did not retain the set")
+	for i := 0; i < 2; i++ {
+		if _, err := s.PolicySet(fpB); err != nil {
+			t.Fatal(err)
+		}
+		if retained(s, fpB) != (i == 1) {
+			t.Errorf("decode %d of b's resident blob: retained=%v", i+1, retained(s, fpB))
+		}
 	}
 
-	// -cache 0: every read is a validated disk read, nothing is retained.
+	// -cache 0: every read is a verified disk read, and every diff decodes
+	// both sets because nothing is retained.
 	off, err := Open(Config{Dir: dir, CacheEntries: -1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,308 @@
+package store
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"testing"
+
+	"policyoracle/internal/corpus/gen"
+	"policyoracle/internal/oracle"
+	"policyoracle/internal/policy"
+)
+
+// flipRead0 flips one bit of a test-library blob: "read0 becomes "read1
+// in the get entry's event key. The result still decodes, so only the
+// digest tells it from the extraction.
+func flipRead0(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	flipped := bytes.Replace(blob, []byte(`"read0`), []byte(`"read1`), 1)
+	if bytes.Equal(flipped, blob) {
+		t.Fatal(`blob has no "read0 event key`)
+	}
+	if _, err := policy.ImportJSON(flipped); err != nil {
+		t.Fatalf("flipped blob no longer decodes: %v", err)
+	}
+	return flipped
+}
+
+// exportBytes is what `polora export` writes for the test library's
+// sources: an in-process extraction's ExportJSON.
+func exportBytes(t *testing.T, sources map[string]string) []byte {
+	t.Helper()
+	lib, err := oracle.LoadLibrary("a", sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib.Extract(oracle.DefaultOptions())
+	blob, err := lib.Policies.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// An incremental update copies the policy of every entry it does not
+// re-analyze from the previous revision's blob. A corrupted previous blob
+// that still decodes must therefore not seed: the update runs a full
+// extraction, and its blob is the one a cold extraction writes.
+func TestCorruptSeedIsNotSpliced(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	ctx := context.Background()
+	res1, err := s.Update(ctx, "a", testSources(), OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.policyPath(res1.Fingerprint)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, flipRead0(t, blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A new process, whose summary cache is cold: only the seed could
+	// splice entries.
+	s = openTestStore(t, dir)
+	res2, err := s.Update(ctx, "a", v2Sources(), OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Incremental || res2.Reanalyzed != res2.Entries {
+		t.Errorf("update over a corrupted previous blob: %+v, want a full extraction", res2)
+	}
+	got, err := os.ReadFile(s.policyPath(res2.Fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := exportBytes(t, v2Sources()); !bytes.Equal(got, want) {
+		t.Errorf("blob seeded from a corrupted revision differs from a cold extraction:\n%s\nvs\n%s", got, want)
+	}
+	if st := s.Stats(); st.CorruptBlobs != 1 {
+		t.Errorf("CorruptBlobs = %d, want 1", st.CorruptBlobs)
+	}
+}
+
+// The bit-flip sweep: all eight bits of every 97th byte of a gen.Small
+// jdk blob. A decode accepts about a quarter of these mutants; the digest
+// must reject every one, and without decoding any.
+func TestDigestRejectsEveryBitFlip(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	fp, _, err := s.Put("jdk", gen.Generate(gen.Small()).Sources["jdk"], OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := s.Policies(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.readBlob(fp, true); !ok {
+		t.Fatal("the unmodified blob failed its check")
+	}
+	// Each mutant flips its bit in place on disk, as bit rot would.
+	f, err := os.OpenFile(s.policyPath(fp), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	poke := func(i int, b byte) {
+		t.Helper()
+		if _, err := f.WriteAt([]byte{b}, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	for i := 0; i < len(blob); i += 97 {
+		for bit := 0; bit < 8; bit++ {
+			poke(i, blob[i]^1<<bit)
+			if _, ok := s.readBlob(fp, true); ok {
+				t.Fatalf("byte %d bit %d: flipped blob passed the disk-read check", i, bit)
+			}
+			n++
+		}
+		poke(i, blob[i])
+	}
+	if st := s.Stats(); st.CorruptBlobs != uint64(n) || st.Decodes != 0 {
+		t.Errorf("%d mutants: CorruptBlobs = %d, Decodes = %d; want %d, 0", n, st.CorruptBlobs, st.Decodes, n)
+	}
+	t.Logf("%d mutants of a %d-byte blob, all rejected", n, len(blob))
+}
+
+// Each state a torn write, a crash between the digest write and the blob
+// write, or bit rot can leave reopens to a served blob that is what
+// `polora export` writes: a verified one, or a re-extracted one.
+func TestDigestCrashWindows(t *testing.T) {
+	want := exportBytes(t, testSources())
+	cases := []struct {
+		name string
+		// damage changes the store's files for fp.
+		damage func(t *testing.T, s *Store, fp string)
+		// want is the reopened store's counters after one read.
+		diskHits, misses, corrupt, decodes uint64
+	}{
+		{"intact", func(*testing.T, *Store, string) {}, 1, 0, 0, 0},
+		{"flipped blob", func(t *testing.T, s *Store, fp string) {
+			blob, err := os.ReadFile(s.policyPath(fp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.policyPath(fp), flipRead0(t, blob), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 1, 1, 0},
+		{"digest without blob", func(t *testing.T, s *Store, fp string) {
+			if err := os.Remove(s.policyPath(fp)); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 1, 0, 0},
+		{"blob without digest", func(t *testing.T, s *Store, fp string) {
+			if err := os.Remove(s.digestPath(fp)); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, 0, 0, 1},
+		{"truncated digest", func(t *testing.T, s *Store, fp string) {
+			line, err := os.ReadFile(s.digestPath(fp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.digestPath(fp), line[:len(line)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 1, 1, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTestStore(t, dir)
+			fp, _, err := s.Put("a", testSources(), OptionsWire{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Policies(fp); err != nil {
+				t.Fatal(err)
+			}
+			c.damage(t, s, fp)
+			s = openTestStore(t, dir)
+			got, err := s.Policies(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("served blob differs from polora export's bytes")
+			}
+			st := s.Stats()
+			if st.DiskHits != c.diskHits || st.Misses != c.misses || st.Extractions != c.misses ||
+				st.CorruptBlobs != c.corrupt || st.Decodes != c.decodes {
+				t.Errorf("after one read: %+v, want diskHits=%d misses=extractions=%d corruptBlobs=%d decodes=%d",
+					st, c.diskHits, c.misses, c.corrupt, c.decodes)
+			}
+			// A re-extraction healed the blob and its digest: the next
+			// process reads it back verified.
+			if c.misses > 0 {
+				healed := openTestStore(t, dir)
+				if _, err := healed.Policies(fp); err != nil {
+					t.Fatal(err)
+				}
+				if st := healed.Stats(); st.DiskHits != 1 || st.Decodes != 0 {
+					t.Errorf("after healing: %+v, want one verified disk hit", st)
+				}
+			}
+		})
+	}
+}
+
+// A blob written without a digest, by an older build, is served after a
+// decode but never seeds an incremental update: nothing proves it is the
+// extraction it claims to be.
+func TestUndigestedBlobNeverSeeds(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	ctx := context.Background()
+	res1, err := s.Update(ctx, "a", testSources(), OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.digestPath(res1.Fingerprint)); err != nil {
+		t.Fatal(err)
+	}
+	s = openTestStore(t, dir)
+	if _, err := s.Policies(res1.Fingerprint); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DiskHits != 1 || st.Decodes != 1 || st.CorruptBlobs != 0 {
+		t.Errorf("read of a digest-less blob: %+v, want one decode-checked disk hit", st)
+	}
+	res2, err := s.Update(ctx, "a", v2Sources(), OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Incremental {
+		t.Errorf("a digest-less blob seeded an update: %+v", res2)
+	}
+	if st := s.Stats(); st.CorruptBlobs != 0 {
+		t.Errorf("a digest-less blob counted as corrupt: %+v", st)
+	}
+}
+
+// Sidecars keep decode-only checking (see loadIncrementalSeed). This
+// samples the evidence: all eight bits of every 5th byte of the test
+// library's sidecar, each seeding the extraction of the next revision. A
+// mutant may fail to decode, force a full extraction or seed an
+// incremental one, but the blob must be the cold extraction's.
+func TestSidecarBitFlipsNeverChangeTheBlob(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	ctx := context.Background()
+	res1, err := s.Update(ctx, "a", testSources(), OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidePath := s.depsPath(res1.Fingerprint)
+	side, err := os.ReadFile(sidePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := OptionsWire{}.ToOracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := &Bundle{
+		Fingerprint: oracle.Fingerprint("a", v2Sources(), opts),
+		Name:        "a",
+		Sources:     v2Sources(),
+	}
+	want := exportBytes(t, v2Sources())
+	mutant := bytes.Clone(side)
+	n, incremental := 0, 0
+	for i := 0; i < len(mutant); i += 5 {
+		for bit := 0; bit < 8; bit++ {
+			mutant[i] ^= 1 << bit
+			if err := os.WriteFile(sidePath, mutant, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prev := s.loadIncrementalSeed(res1.Fingerprint)
+			s.sums = oracle.NewSummaryCache(0) // only the seed may splice
+			lib, st, err := s.extract(ctx, next, nil, prev)
+			if err != nil {
+				t.Fatalf("byte %d bit %d: %v", i, bit, err)
+			}
+			got, err := lib.Policies.ExportJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("byte %d bit %d (%q): seeded blob differs from a cold extraction",
+					i, bit, side[max(0, i-20):min(len(side), i+20)])
+			}
+			if !st.Full {
+				incremental++
+			}
+			mutant[i] ^= 1 << bit
+			n++
+		}
+	}
+	if incremental == 0 {
+		t.Fatal("no mutant seeded an incremental extraction, so the sweep shows nothing")
+	}
+	t.Logf("%d sidecar mutants, %d still incremental, every blob the cold extraction's", n, incremental)
+}

@@ -8,24 +8,24 @@ import (
 
 func TestBlobLRUEvictsOldest(t *testing.T) {
 	c := newBlobLRU(2)
-	if n := c.add("a", []byte("A"), false); n != 0 {
+	if n := c.add("a", blobRef{blob: []byte("A")}); n != 0 {
 		t.Errorf("evicted %d on first insert", n)
 	}
-	c.add("b", []byte("B"), false)
-	if n := c.add("c", []byte("C"), false); n != 1 {
+	c.add("b", blobRef{blob: []byte("B")})
+	if n := c.add("c", blobRef{blob: []byte("C")}); n != 1 {
 		t.Errorf("evicted %d inserting past capacity, want 1", n)
 	}
-	if _, _, ok := c.get("a"); ok {
+	if _, ok := c.get("a"); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if blob, _, ok := c.get("c"); !ok || string(blob) != "C" {
+	if ref, ok := c.get("c"); !ok || string(ref.blob) != "C" {
 		t.Error("newest entry missing")
 	}
 	// Refreshing an existing key is not an insert and evicts nothing.
-	if n := c.add("b", []byte("B2"), false); n != 0 || c.len() != 2 {
+	if n := c.add("b", blobRef{blob: []byte("B2")}); n != 0 || c.len() != 2 {
 		t.Errorf("refresh: evicted=%d len=%d", n, c.len())
 	}
-	if blob, _, _ := c.get("b"); string(blob) != "B2" {
+	if ref, _ := c.get("b"); string(ref.blob) != "B2" {
 		t.Error("refresh did not replace the blob")
 	}
 }
@@ -35,13 +35,13 @@ func TestBlobLRUEvictsOldest(t *testing.T) {
 func TestBlobLRUDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := newBlobLRU(capacity)
-		if n := c.add("a", []byte("A"), false); n != 0 {
+		if n := c.add("a", blobRef{blob: []byte("A")}); n != 0 {
 			t.Errorf("cap=%d: add reported %d evictions, want 0", capacity, n)
 		}
 		if c.len() != 0 {
 			t.Errorf("cap=%d: disabled cache holds %d entries", capacity, c.len())
 		}
-		if _, _, ok := c.get("a"); ok {
+		if _, ok := c.get("a"); ok {
 			t.Errorf("cap=%d: disabled cache returned a hit", capacity)
 		}
 	}
@@ -56,13 +56,13 @@ func TestBlobLRURetainsSetOnSecondDecode(t *testing.T) {
 	set := policy.NewProgramPolicies("a")
 	retained := func() *policy.ProgramPolicies {
 		t.Helper()
-		_, got, ok := c.get("a")
+		ref, ok := c.get("a")
 		if !ok {
 			t.Fatal("entry missing")
 		}
-		return got
+		return ref.set
 	}
-	c.add("a", blob, false)
+	c.add("a", blobRef{blob: blob})
 	c.noteDecode("a", []byte("A"), set) // equal bytes, but not the entry's
 	c.noteDecode("a", []byte("A"), set)
 	if retained() != nil {
@@ -76,12 +76,12 @@ func TestBlobLRURetainsSetOnSecondDecode(t *testing.T) {
 	if retained() != set {
 		t.Error("second decode did not retain the set")
 	}
-	c.add("a", blob, true) // refresh after a validated read
+	c.add("a", blobRef{blob: blob, set: set}) // refresh after a decode-checked read
 	if retained() != nil {
 		t.Error("refresh kept the retained set")
 	}
 	c.noteDecode("a", blob, set)
 	if retained() != set {
-		t.Error("a validated refresh did not count as the first decode")
+		t.Error("a decode-checked refresh did not count as the first decode")
 	}
 }

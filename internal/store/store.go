@@ -8,11 +8,13 @@
 //
 // Layout under the store directory:
 //
-//	bundles/<fingerprint>.json    uploaded bundle (name, options, sources)
-//	policies/<fingerprint>.json   extracted policies, policy wire format
-//	deps/<fingerprint>.json       incremental sidecar (oracle.Snapshot sans
-//	                              policies): method hashes + entry deps
-//	names.json                    library name → latest fingerprint
+//	bundles/<fingerprint>.json     uploaded bundle (name, options, sources)
+//	policies/<fingerprint>.json    extracted policies, policy wire format
+//	policies/<fingerprint>.sha256  the blob's SHA-256: lowercase hex and a
+//	                               newline, as sha256sum prints it
+//	deps/<fingerprint>.json        incremental sidecar (oracle.Snapshot sans
+//	                               policies): method hashes + entry deps
+//	names.json                     library name → latest fingerprint
 //
 // The sidecar and name index power delta-aware updates (Update): a new
 // bundle for a known library seeds an incremental extraction from the
@@ -24,12 +26,23 @@
 // failures are returned to the caller, and a corrupt index is rebuilt
 // from the bundles directory instead of being discarded.
 //
-// Blobs read back from disk are validated by re-importing them; a
-// corrupted blob is discarded and re-extracted from its bundle, so the
-// store self-heals from partial writes or bit rot. The validated set goes
-// to the readers of that load, and an LRU entry keeps the set decoded
-// from its blob once the blob has been decoded a second time, so warm
-// diffs of a hot fingerprint do not decode it again.
+// The store is content-addressed end to end. Every blob it persists,
+// extracted or fetched from a backend, is written after its digest, and
+// every read of a persisted blob verifies it against that digest: a
+// mismatch (bit rot, a torn write, a crash between the two writes) counts
+// as a corrupt blob and is re-extracted from its bundle, so the store
+// self-heals. A blob with no digest file was written by an older build; a
+// read checks it by decoding it instead, and it never seeds an
+// incremental update. Otherwise a blob is decoded only when a reader
+// needs its policy set, and an LRU entry keeps the set once its blob has
+// been decoded a second time, so warm diffs of a hot fingerprint do not
+// decode it again.
+//
+// DiffWire serves a diff report's wire bytes from a report cache keyed by
+// the digests of the two blobs compared, so a repeated diff decodes,
+// compares and encodes nothing. The cached reports total at most the
+// bytes of the blobs the LRU holds, and none are cached when the LRU is
+// disabled.
 //
 // Reads take a context: a caller that goes away (client disconnect,
 // server drain) stops waiting immediately, and when the last waiter on
@@ -37,7 +50,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,9 +92,11 @@ type Config struct {
 	Dir string
 	// CacheEntries caps the in-memory blob LRU: 0 means the default of
 	// 128, and a negative value disables the in-memory cache entirely
-	// (every read is served from disk or extraction). An entry holds its
-	// blob and, once the blob has been decoded twice, its decoded policy
-	// set (about 1.5× the blob).
+	// (every read is served from disk or extraction, and no diff report
+	// is cached). An entry holds its blob and digest and, once the blob
+	// has been decoded twice, its decoded policy set (about 1.5× the
+	// blob). The diff reports DiffWire caches total at most the bytes of
+	// the resident blobs.
 	CacheEntries int
 	// Parallel is the oracle worker count per extraction
 	// (oracle.Options.Parallel; <= 0 means GOMAXPROCS).
@@ -90,9 +108,10 @@ type Config struct {
 	// Backends are consulted in order on a mem+disk miss, before local
 	// extraction: the pluggable remote tiers of a distributed store
 	// (peer replicas today; an object store tomorrow). A blob served by
-	// a backend is validated and persisted locally, so later reads of
-	// the fingerprint are disk hits. Empty means extraction is the only
-	// fallback, the single-node behavior.
+	// a backend is checked by decoding it and persisted locally with its
+	// digest, so later reads of the fingerprint are verified disk hits.
+	// Empty means extraction is the only fallback, the single-node
+	// behavior.
 	Backends []Backend
 	// Registry receives the store's and the extractor's metrics. Nil
 	// disables instrumentation (the instruments become no-ops).
@@ -104,8 +123,8 @@ type Config struct {
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	// MemHits served from the LRU, DiskHits from a validated persisted
-	// blob, Misses required extraction.
+	// MemHits served from the LRU, DiskHits from a persisted blob that
+	// passed its check, Misses required a backend fetch or extraction.
 	MemHits  uint64 `json:"memHits"`
 	DiskHits uint64 `json:"diskHits"`
 	Misses   uint64 `json:"misses"`
@@ -114,19 +133,24 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Extractions performed (== Misses unless extraction failed early).
 	Extractions uint64 `json:"extractions"`
-	// CorruptBlobs found on disk and re-extracted.
+	// CorruptBlobs counts persisted blobs that failed their check on a
+	// read (a digest mismatch, or a digest-less blob that does not
+	// decode) and backend blobs that do not decode. A corrupt blob is
+	// re-extracted when it is next read.
 	CorruptBlobs uint64 `json:"corruptBlobs"`
 	// Bundles uploaded (newly created, not re-uploads).
 	Bundles uint64 `json:"bundles"`
-	// Diffs computed.
+	// Diffs served by DiffContext and DiffWire, ReportHits included.
 	Diffs uint64 `json:"diffs"`
+	// ReportHits counts DiffWire calls served from the report cache.
+	ReportHits uint64 `json:"reportHits"`
 	// Evictions dropped a blob from the in-memory LRU.
 	Evictions uint64 `json:"evictions"`
 	// BackendHits served a blob from a configured backend (for a peer
 	// backend: fetched from another replica instead of extracting).
 	BackendHits uint64 `json:"backendHits"`
-	// Decodes counts every policy.ImportJSON the store runs: blob
-	// validations and decodes for readers the LRU had no set for alike.
+	// Decodes counts every policy.ImportJSON the store runs: for readers
+	// the LRU had no set for, and to check backend and digest-less blobs.
 	Decodes uint64 `json:"decodes"`
 }
 
@@ -142,9 +166,10 @@ type Store struct {
 	sums     *oracle.SummaryCache
 	log      *slog.Logger
 
-	mu     sync.Mutex
-	cache  *blobLRU
-	flight map[string]*flightCall
+	mu      sync.Mutex
+	cache   *blobLRU
+	reports *reportLRU // bounded by cache.bytes
+	flight  map[string]*flightCall
 
 	// namesMu serializes read-modify-write cycles on names.json; it is
 	// separate from mu so index writes never block cache reads.
@@ -159,7 +184,7 @@ type Store struct {
 	memHits, diskHits, misses, coalesced atomic.Uint64
 	extractions, corruptBlobs            atomic.Uint64
 	bundles, diffs, evictions            atomic.Uint64
-	backendHits, decodes                 atomic.Uint64
+	backendHits, decodes, reportHits     atomic.Uint64
 
 	// load runs the frontend on one bundle's sources, and extract
 	// extracts a bundle's policies (see extractLibrary for its library
@@ -176,9 +201,25 @@ type flightCall struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
 	waiters int // guarded by Store.mu
-	blob    []byte
-	set     *policy.ProgramPolicies // decoded when the load validated blob
+	ref     blobRef
 	err     error
+}
+
+// digest is a policy blob's SHA-256.
+type digest [sha256.Size]byte
+
+// blobRef is one fingerprint's blob as a read returns it: the bytes,
+// their digest, and the policy set decoded from them when one is at hand
+// (the LRU entry's retained set, or the decode that checked a digest-less
+// disk blob or a backend blob), nil otherwise.
+type blobRef struct {
+	blob []byte
+	sum  digest
+	set  *policy.ProgramPolicies
+}
+
+func refOf(blob []byte) blobRef {
+	return blobRef{blob: blob, sum: sha256.Sum256(blob)}
 }
 
 // Open creates (if needed) and opens a store directory.
@@ -210,6 +251,7 @@ func Open(cfg Config) (*Store, error) {
 		sums:        oracle.NewSummaryCache(0),
 		log:         cfg.Logger,
 		cache:       newBlobLRU(cfg.CacheEntries),
+		reports:     newReportLRU(),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
 	}
@@ -223,6 +265,10 @@ func (s *Store) bundlePath(fp string) string {
 
 func (s *Store) policyPath(fp string) string {
 	return filepath.Join(s.dir, "policies", fp+".json")
+}
+
+func (s *Store) digestPath(fp string) string {
+	return filepath.Join(s.dir, "policies", fp+".sha256")
 }
 
 func (s *Store) depsPath(fp string) string {
@@ -443,23 +489,24 @@ func (s *Store) Policies(fp string) ([]byte, error) {
 // ctx.Err() immediately; if the caller was the last one waiting on an
 // in-flight extraction, the extraction is cancelled too.
 func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) {
-	blob, _, err := s.read(ctx, fp)
-	return blob, err
+	ref, err := s.read(ctx, fp)
+	return ref.blob, err
 }
 
-// read returns fp's blob and, when one is at hand, the policy set decoded
-// from it: the LRU entry's retained set, or the set a disk or backend
-// load decoded to validate the blob. The set is nil otherwise.
-func (s *Store) read(ctx context.Context, fp string) ([]byte, *policy.ProgramPolicies, error) {
+// read returns fp's blob, its digest and, when one is at hand, the policy
+// set decoded from it: the LRU entry's retained set, or the set a
+// digest-less disk blob or a backend blob was decoded into to check it.
+// The set is nil otherwise.
+func (s *Store) read(ctx context.Context, fp string) (blobRef, error) {
 	if !oracle.IsFingerprint(fp) {
-		return nil, nil, fmt.Errorf("%w: %q", ErrMalformed, fp)
+		return blobRef{}, fmt.Errorf("%w: %q", ErrMalformed, fp)
 	}
 	s.mu.Lock()
-	if blob, set, ok := s.cache.get(fp); ok {
+	if ref, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
 		s.memHits.Add(1)
 		s.tm.CacheHits.With("mem").Inc()
-		return blob, set, nil
+		return ref, nil
 	}
 	if c, ok := s.flight[fp]; ok {
 		c.waiters++
@@ -484,13 +531,13 @@ func (s *Store) read(ctx context.Context, fp string) ([]byte, *policy.ProgramPol
 
 	go func() {
 		defer cancel()
-		c.blob, c.set, c.err = s.loadOrExtract(cctx, fp, localOnly)
+		c.ref, c.err = s.loadOrExtract(cctx, fp, localOnly)
 		s.mu.Lock()
 		if s.flight[fp] == c {
 			delete(s.flight, fp)
 		}
 		if c.err == nil {
-			s.noteEvictions(s.cache.add(fp, c.blob, c.set != nil))
+			s.cacheBlob(fp, c.ref)
 		}
 		s.mu.Unlock()
 		close(c.done)
@@ -502,10 +549,10 @@ func (s *Store) read(ctx context.Context, fp string) ([]byte, *policy.ProgramPol
 // An abandoning waiter drops its reference; the last one out cancels the
 // extraction and unregisters the call so later requests start fresh
 // rather than inheriting a cancelled result.
-func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, *policy.ProgramPolicies, error) {
+func (s *Store) wait(ctx context.Context, fp string, c *flightCall) (blobRef, error) {
 	select {
 	case <-c.done:
-		return c.blob, c.set, c.err
+		return c.ref, c.err
 	case <-ctx.Done():
 		// When the result and the cancellation race, prefer the result:
 		// callers on a non-cancellable context (the Policies/PolicySet/Diff
@@ -514,7 +561,7 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, *po
 		// refcount the completion path has already settled.
 		select {
 		case <-c.done:
-			return c.blob, c.set, c.err
+			return c.ref, c.err
 		default:
 		}
 		s.mu.Lock()
@@ -528,60 +575,106 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, *po
 			c.cancel()
 			s.log.Info("store: extraction abandoned", "fingerprint", fp, "cause", context.Cause(ctx))
 		}
-		return nil, nil, ctx.Err()
+		return blobRef{}, ctx.Err()
 	}
 }
 
-// noteEvictions records n LRU evictions and refreshes the occupancy
-// gauge. Called with s.mu held.
-func (s *Store) noteEvictions(n int) {
-	if n > 0 {
+// cacheBlob makes ref fp's LRU entry, records the evictions, and trims
+// the report cache to the blob bytes left resident. Called with s.mu
+// held.
+func (s *Store) cacheBlob(fp string, ref blobRef) {
+	if n := s.cache.add(fp, ref); n > 0 {
 		s.evictions.Add(uint64(n))
 		s.tm.Evictions.Add(float64(n))
 	}
 	s.tm.CachedBlobs.Set(float64(s.cache.len()))
+	s.reports.trim(s.cache.bytes)
 }
 
 // loadOrExtract serves one fingerprint from disk, then the configured
 // backends (unless the read is local-only), falling back to extraction.
-// A disk or backend blob comes with the set its validation decoded; an
-// extracted one comes without, so what readers decode is always the
-// persisted bytes, never the extractor's in-memory policies.
+// A verified disk blob and an extracted one come without a set, so what
+// readers decode is always the persisted bytes, never the extractor's
+// in-memory policies; a blob checked by decoding it comes with that set.
 // Exactly one goroutine runs this per in-flight fingerprint.
-func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([]byte, *policy.ProgramPolicies, error) {
-	path := s.policyPath(fp)
-	if blob, err := os.ReadFile(path); err == nil {
-		if set, err := s.decode(blob); err == nil {
-			s.diskHits.Add(1)
-			s.tm.CacheHits.With("disk").Inc()
-			return blob, set, nil
-		}
-		s.corruptBlobs.Add(1)
-		s.tm.CorruptBlobs.Inc()
-		s.log.Warn("store: corrupt policy blob, re-extracting", "fingerprint", fp)
+func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (blobRef, error) {
+	if ref, ok := s.readBlob(fp, true); ok {
+		s.diskHits.Add(1)
+		s.tm.CacheHits.With("disk").Inc()
+		return ref, nil
 	}
 	s.misses.Add(1)
 	s.tm.CacheMisses.Inc()
 	if !localOnly {
-		if blob, set, ok := s.fromBackends(ctx, fp, path); ok {
-			return blob, set, nil
+		if ref, ok := s.fromBackends(ctx, fp); ok {
+			return ref, nil
 		}
 	}
 	b, err := s.Bundle(fp)
 	if err != nil {
-		return nil, nil, err
+		return blobRef{}, err
 	}
-	blob, _, err := s.extractAndPersist(ctx, b, nil, nil)
-	return blob, nil, err
+	ref, _, err := s.extractAndPersist(ctx, b, nil, nil)
+	return ref, err
+}
+
+// readBlob reads fp's persisted blob and verifies it against its digest.
+// A blob with no digest file was written by an older build: when
+// undigested is set, it is checked by decoding it instead and comes with
+// the decoded set; otherwise it is not used. ok is false when there is no
+// usable blob; one that fails its check is counted and logged as corrupt.
+func (s *Store) readBlob(fp string, undigested bool) (ref blobRef, ok bool) {
+	blob, err := os.ReadFile(s.policyPath(fp))
+	if err != nil {
+		return blobRef{}, false
+	}
+	ref = refOf(blob)
+	want, err := os.ReadFile(s.digestPath(fp))
+	switch {
+	case err == nil:
+		if bytes.Equal(want, digestLine(ref.sum)) {
+			return ref, true
+		}
+	case errors.Is(err, os.ErrNotExist):
+		if !undigested {
+			return blobRef{}, false
+		}
+		if ref.set, err = s.decode(blob); err == nil {
+			return ref, true
+		}
+	}
+	s.corruptBlobs.Add(1)
+	s.tm.CorruptBlobs.Inc()
+	s.log.Warn("store: corrupt policy blob, re-extracting", "fingerprint", fp)
+	return blobRef{}, false
+}
+
+// digestLine renders a digest file: lowercase hex and a newline.
+func digestLine(sum digest) []byte {
+	line := make([]byte, hex.EncodedLen(len(sum))+1)
+	hex.Encode(line, sum[:])
+	line[len(line)-1] = '\n'
+	return line
+}
+
+// persistBlob writes fp's digest, then its blob. A crash between the two
+// writes leaves the new digest beside no blob or an older one, which
+// verifies only if it holds the same bytes; anything else is re-extracted
+// on its next read.
+func (s *Store) persistBlob(fp string, ref blobRef) error {
+	if err := WriteAtomic(s.digestPath(fp), digestLine(ref.sum)); err != nil {
+		return err
+	}
+	return WriteAtomic(s.policyPath(fp), ref.blob)
 }
 
 // extractAndPersist is the store's one extraction path: cold reads call
 // it with neither library, and Update with the library its upload
 // validation loaded and the previous revision. In one of the store's
 // extraction slots it extracts b's policies (see extractLibrary), then
-// persists the policy blob and the incremental sidecar. The stats are
-// what the extraction measured.
-func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *oracle.Library) ([]byte, *oracle.IncrementalStats, error) {
+// persists the policy blob with its digest and the incremental sidecar.
+// The stats are what the extraction measured.
+func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (blobRef, *oracle.IncrementalStats, error) {
 	queued := time.Now()
 	select {
 	case s.sem <- struct{}{}:
@@ -591,11 +684,11 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 		// extraction slot granted, not per caller.
 		s.tm.QueueWait.ObserveDuration(time.Since(queued))
 	case <-ctx.Done():
-		return nil, nil, ctx.Err()
+		return blobRef{}, nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return blobRef{}, nil, err
 	}
 	s.extractions.Add(1)
 	s.tm.Extractions.Inc()
@@ -609,19 +702,19 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 		s.tm.ExtractFailures.Inc()
 		s.log.Warn("store: extraction failed", "fingerprint", fp, "library", b.Name,
 			"duration", elapsed, "err", err)
-		return nil, nil, err
+		return blobRef{}, nil, err
 	}
 	// The snapshot's policies are exactly ExportJSON's bytes: the blob.
 	snap, err := lib.Snapshot()
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: bundle %s: %w", fp, err)
+		return blobRef{}, nil, fmt.Errorf("store: bundle %s: %w", fp, err)
 	}
-	blob := snap.Policies
+	ref := refOf(snap.Policies)
 	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
-		"duration", elapsed, "bytes", len(blob), "entries", st.Entries,
+		"duration", elapsed, "bytes", len(ref.blob), "entries", st.Entries,
 		"reused", st.Reused, "reanalyzed", st.Reanalyzed)
-	if err := WriteAtomic(s.policyPath(fp), blob); err != nil {
-		return nil, nil, fmt.Errorf("store: persisting policies: %w", err)
+	if err := s.persistBlob(fp, ref); err != nil {
+		return blobRef{}, nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
 	// The sidecar is best-effort: the blob is the source of truth, and a
 	// missing sidecar only forces the next update of this library through
@@ -634,15 +727,17 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 	if err != nil {
 		s.log.Warn("store: writing incremental sidecar failed", "fingerprint", fp, "err", err)
 	}
-	return blob, st, nil
+	return ref, st, nil
 }
 
 // fromBackends asks each configured backend for fp's blob, in order.
-// A hit is validated exactly like a disk blob and persisted locally so
-// the next read of fp is a disk hit; a corrupt response is counted and
-// skipped. ok is false when no backend could supply a valid blob — the
-// caller falls back to local extraction.
-func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, *policy.ProgramPolicies, bool) {
+// A hit is checked by decoding it and persisted locally with its digest
+// so the next read of fp is a verified disk hit; a corrupt response is
+// counted and skipped. A digest sent by the backend would prove only the
+// transfer, not the content, so none is asked for. ok is false when no
+// backend could supply a valid blob — the caller falls back to local
+// extraction.
+func (s *Store) fromBackends(ctx context.Context, fp string) (blobRef, bool) {
 	for _, b := range s.backends {
 		blob, err := b.Fetch(ctx, fp)
 		if err != nil {
@@ -651,23 +746,23 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, *pol
 			}
 			continue
 		}
-		set, err := s.decode(blob)
-		if err != nil {
+		ref := refOf(blob)
+		if ref.set, err = s.decode(blob); err != nil {
 			s.corruptBlobs.Add(1)
 			s.tm.CorruptBlobs.Inc()
 			s.log.Warn("store: backend returned corrupt blob", "backend", b.Name(), "fingerprint", fp, "err", err)
 			continue
 		}
-		if err := WriteAtomic(path, blob); err != nil {
-			// Serving the validated bytes still beats re-extracting; the
+		if err := s.persistBlob(fp, ref); err != nil {
+			// Serving the checked bytes still beats re-extracting; the
 			// blob just won't be a disk hit next time.
 			s.log.Warn("store: persisting backend blob failed", "backend", b.Name(), "fingerprint", fp, "err", err)
 		}
 		s.backendHits.Add(1)
 		s.tm.CacheHits.With("backend").Inc()
-		return blob, set, true
+		return ref, true
 	}
-	return nil, nil, false
+	return blobRef{}, false
 }
 
 // extractLibrary extracts b's policies, incrementally from prev when it
@@ -724,15 +819,26 @@ func (s *Store) PolicySet(fp string) (*policy.ProgramPolicies, error) {
 // shared with other readers and retained by the LRU, so callers must not
 // mutate it.
 func (s *Store) PolicySetContext(ctx context.Context, fp string) (*policy.ProgramPolicies, error) {
-	blob, set, err := s.read(ctx, fp)
-	if err != nil || set != nil {
-		return set, err
+	ref, err := s.read(ctx, fp)
+	if err != nil {
+		return nil, err
 	}
-	if set, err = s.decode(blob); err != nil {
+	return s.setOf(fp, ref)
+}
+
+// setOf returns the policy set of a blob fp's read returned: the set the
+// read brought, or a fresh decode, which the LRU entry holding these
+// bytes retains if it is their second.
+func (s *Store) setOf(fp string, ref blobRef) (*policy.ProgramPolicies, error) {
+	if ref.set != nil {
+		return ref.set, nil
+	}
+	set, err := s.decode(ref.blob)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.cache.noteDecode(fp, blob, set)
+	s.cache.noteDecode(fp, ref.blob, set)
 	s.mu.Unlock()
 	return set, nil
 }
@@ -765,13 +871,70 @@ func (s *Store) DiffContext(ctx context.Context, fpA, fpB string) (*diff.Report,
 	if err != nil {
 		return nil, err
 	}
+	return s.compare(fpA, fpB, pa, pb)
+}
+
+// DiffWire returns the wire bytes of DiffContext's report
+// (Report.EncodeJSON, what `polora diff -json` prints) and the domain ID
+// the report carries. A report is a function of the two blobs compared,
+// so it is cached under their digests: a repeated diff, even of blobs
+// read back from disk, decodes, compares and encodes nothing. The cache
+// holds no errors, and its reports total at most the bytes of the blobs
+// the LRU holds. Callers must not mutate the bytes.
+func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, domain string, err error) {
+	a, err := s.read(ctx, fpA)
+	if err != nil {
+		return nil, "", err
+	}
+	b, err := s.read(ctx, fpB)
+	if err != nil {
+		return nil, "", err
+	}
+	key := reportKey{a.sum, b.sum}
+	s.mu.Lock()
+	r, ok := s.reports.get(key)
+	s.mu.Unlock()
+	if ok {
+		s.reportHits.Add(1)
+		s.tm.ReportHits.Inc()
+		s.countDiff()
+		return r.wire, r.domain, nil
+	}
+	pa, err := s.setOf(fpA, a)
+	if err != nil {
+		return nil, "", err
+	}
+	pb, err := s.setOf(fpB, b)
+	if err != nil {
+		return nil, "", err
+	}
+	rep, err := s.compare(fpA, fpB, pa, pb)
+	if err != nil {
+		return nil, "", err
+	}
+	if wire, err = rep.EncodeJSON(); err != nil {
+		return nil, "", fmt.Errorf("store: encoding the diff of %s and %s: %w", fpA, fpB, err)
+	}
+	s.mu.Lock()
+	s.reports.add(key, wire, rep.Domain, s.cache.bytes)
+	s.mu.Unlock()
+	return wire, rep.Domain, nil
+}
+
+// compare differences two fingerprints' policy sets and counts the diff.
+// Sets of different check domains fail with oracle.ErrDomainMismatch.
+func (s *Store) compare(fpA, fpB string, pa, pb *policy.ProgramPolicies) (*diff.Report, error) {
 	if pa.Domain != pb.Domain {
 		return nil, fmt.Errorf("%w: %s has %q, %s has %q",
 			oracle.ErrDomainMismatch, fpA, domainLabel(pa.Domain), fpB, domainLabel(pb.Domain))
 	}
+	s.countDiff()
+	return diff.Compare(pa, pb), nil
+}
+
+func (s *Store) countDiff() {
 	s.diffs.Add(1)
 	s.tm.Diffs.Inc()
-	return diff.Compare(pa, pb), nil
 }
 
 // domainLabel spells the default domain's canonical empty string as its
@@ -794,6 +957,7 @@ func (s *Store) Stats() Stats {
 		CorruptBlobs: s.corruptBlobs.Load(),
 		Bundles:      s.bundles.Load(),
 		Diffs:        s.diffs.Load(),
+		ReportHits:   s.reportHits.Load(),
 		Evictions:    s.evictions.Load(),
 		BackendHits:  s.backendHits.Load(),
 		Decodes:      s.decodes.Load(),

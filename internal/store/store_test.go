@@ -454,8 +454,8 @@ func TestStoreMetrics(t *testing.T) {
 	if _, err := s.Policies(fpA); err != nil { // evicted by fpB: disk hit
 		t.Fatal(err)
 	}
-	if got := s.Stats().Decodes; got != 3 {
-		t.Errorf("Stats.Decodes = %d, want 3", got)
+	if got := s.Stats().Decodes; got != 2 {
+		t.Errorf("Stats.Decodes = %d, want 2", got)
 	}
 	text := reg.Text()
 	for _, want := range []string{
@@ -466,8 +466,10 @@ func TestStoreMetrics(t *testing.T) {
 		`polorad_store_cache_hits_total{tier="disk"} 1`,
 		"polorad_store_cache_evictions_total 2",
 		"polorad_store_cached_blobs 1",
-		// Diff decodes both extracted blobs; the disk hit validates fpA.
-		"polorad_store_policy_decodes_total 3",
+		// Diff decodes both extracted blobs; the disk hit of fpA verifies
+		// its digest and decodes nothing.
+		"polorad_store_policy_decodes_total 2",
+		"polorad_store_report_hits_total 0",
 		"polorad_store_extract_queue_wait_seconds_count 2",
 		"polorad_store_extract_duration_seconds_count 2",
 		`policyoracle_extractions_total{domain="securitymanager"} 2`,

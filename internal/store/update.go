@@ -53,9 +53,9 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 		return nil, err
 	}
 	res := &UpdateResult{Fingerprint: fp, Created: created}
-	if blob, err := os.ReadFile(s.policyPath(fp)); err == nil {
-		if pp, err := s.decode(blob); err == nil {
-			// Content already extracted: nothing to re-analyze.
+	if ref, ok := s.readBlob(fp, true); ok {
+		// Content already extracted: nothing to re-analyze.
+		if pp, err := s.setOf(fp, ref); err == nil {
 			res.Entries = len(pp.Entries)
 			res.Reused = res.Entries
 			return res, nil
@@ -66,12 +66,12 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 		prev = s.loadIncrementalSeed(prevFP)
 	}
 	b := &Bundle{Fingerprint: fp, Name: name, Options: w, Sources: sources}
-	blob, st, err := s.extractAndPersist(ctx, b, lib, prev)
+	ref, st, err := s.extractAndPersist(ctx, b, lib, prev)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.noteEvictions(s.cache.add(fp, blob, false))
+	s.cacheBlob(fp, ref)
 	s.mu.Unlock()
 	res.Incremental = !st.Full
 	res.Entries, res.Reused, res.Reanalyzed = st.Entries, st.Reused, st.Reanalyzed
@@ -95,7 +95,18 @@ func (s *Store) nameLock(name string) *sync.Mutex {
 // loadIncrementalSeed reconstructs the previous extraction (policies +
 // hashes + dependency sets) from a fingerprint's persisted blob and
 // sidecar. Nil when either is missing or corrupt — the update then falls
-// back to a full extraction.
+// back to a full extraction. The blob must verify against its digest: an
+// incremental extraction copies the policies of every entry it does not
+// re-analyze, so a seed that merely decodes could carry a corrupted
+// policy into the new revision. A blob written without a digest never
+// seeds.
+//
+// The sidecar keeps decode-only checking, because it only decides what
+// to re-analyze: a method name or hash that no longer matches reads as a
+// changed method, an entry key that no longer matches leaves its entry
+// without dependencies, which is never spliced, and a changed option key
+// forces a full extraction. The exception, a dependency name flipped
+// onto another method's, is in DESIGN ("Digests").
 func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 	side, err := os.ReadFile(s.depsPath(prevFP))
 	if err != nil {
@@ -106,11 +117,11 @@ func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 		s.log.Warn("store: corrupt incremental sidecar", "fingerprint", prevFP, "err", err)
 		return nil
 	}
-	blob, err := os.ReadFile(s.policyPath(prevFP))
-	if err != nil {
+	ref, ok := s.readBlob(prevFP, false)
+	if !ok {
 		return nil
 	}
-	snap.Policies = blob
+	snap.Policies = ref.blob
 	lib, err := snap.ToLibrary()
 	if err != nil {
 		s.log.Warn("store: incremental seed unusable", "fingerprint", prevFP, "err", err)

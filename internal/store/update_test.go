@@ -99,13 +99,13 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 func TestWaitPrefersCompletedResult(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	c := &flightCall{done: make(chan struct{}), cancel: func() {}, waiters: 1}
-	c.blob = []byte("blob")
+	c.ref.blob = []byte("blob")
 	close(c.done)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // both c.done and ctx.Done() are ready
-	blob, _, err := s.wait(ctx, "deadbeef", c)
-	if err != nil || string(blob) != "blob" {
-		t.Errorf("wait with done+cancelled = (%q, %v), want the result", blob, err)
+	ref, err := s.wait(ctx, "deadbeef", c)
+	if err != nil || string(ref.blob) != "blob" {
+		t.Errorf("wait with done+cancelled = (%q, %v), want the result", ref.blob, err)
 	}
 	if c.waiters != 1 {
 		t.Errorf("result path changed the refcount: waiters = %d", c.waiters)
@@ -549,7 +549,7 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 // BenchmarkStoreUpdate measures one PUT of a single-step metamorphic
 // edit of the gen.Small jdk, seeded from the unedited revision: load,
 // hash, incremental extraction and the fsync'd writes of the bundle,
-// blob, sidecar and name index. Between iterations, with the timer
+// digest, blob, sidecar and name index. Between iterations, with the timer
 // stopped, the edit's files are removed, the name index is pointed back
 // at the unedited revision and the process-wide summary cache is
 // emptied, so every iteration re-analyzes what the first one did.
@@ -585,7 +585,7 @@ func BenchmarkStoreUpdate(b *testing.B) {
 			b.Fatalf("update was not a seeded extraction of new content: %+v", res)
 		}
 		b.StopTimer()
-		for _, path := range []string{s.bundlePath(res.Fingerprint), s.policyPath(res.Fingerprint), s.depsPath(res.Fingerprint)} {
+		for _, path := range []string{s.bundlePath(res.Fingerprint), s.policyPath(res.Fingerprint), s.digestPath(res.Fingerprint), s.depsPath(res.Fingerprint)} {
 			if err := os.Remove(path); err != nil {
 				b.Fatal(err)
 			}

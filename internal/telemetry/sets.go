@@ -70,16 +70,18 @@ type StoreMetrics struct {
 	// subset that errored (including cancellations).
 	Extractions     *Counter
 	ExtractFailures *Counter
-	// CorruptBlobs counts persisted blobs that failed validation and
-	// were re-extracted.
+	// CorruptBlobs counts blobs that failed their check (a persisted
+	// blob's digest, or the decode of a backend or digest-less blob).
 	CorruptBlobs *Counter
-	// Decodes counts policy-blob imports the store ran, validations and
-	// reader decodes alike: polorad_store_policy_decodes_total.
+	// Decodes counts policy-blob imports the store ran:
+	// polorad_store_policy_decodes_total.
 	Decodes *Counter
 	// Bundles counts newly created bundle uploads; Diffs counts diff
-	// reports computed.
-	Bundles *Counter
-	Diffs   *Counter
+	// reports served, and ReportHits those served from the report cache:
+	// polorad_store_report_hits_total.
+	Bundles    *Counter
+	Diffs      *Counter
+	ReportHits *Counter
 	// QueueWait is the time a cache-missing request waited for an
 	// extraction slot: polorad_store_extract_queue_wait_seconds.
 	QueueWait *Histogram
@@ -106,13 +108,15 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 		ExtractFailures: r.Counter("polorad_store_extract_failures_total",
 			"Bundle extractions that failed or were cancelled."),
 		CorruptBlobs: r.Counter("polorad_store_corrupt_blobs_total",
-			"Persisted blobs that failed validation and were re-extracted."),
+			"Policy blobs that failed their digest or decode check."),
 		Decodes: r.Counter("polorad_store_policy_decodes_total",
-			"Policy blobs decoded, to validate a read or to serve a reader without a cached set."),
+			"Policy blobs decoded, to serve a reader without a cached set or to check a blob that has no local digest."),
 		Bundles: r.Counter("polorad_store_bundles_created_total",
 			"Newly created bundle uploads."),
 		Diffs: r.Counter("polorad_store_diffs_total",
-			"Diff reports computed."),
+			"Diff reports served."),
+		ReportHits: r.Counter("polorad_store_report_hits_total",
+			"Diff reports served from the digest-keyed report cache."),
 		QueueWait: r.Histogram("polorad_store_extract_queue_wait_seconds",
 			"Time spent waiting for an extraction slot.", QueueBuckets),
 		ExtractDuration: r.Histogram("polorad_store_extract_duration_seconds",
