@@ -14,10 +14,9 @@
 //	-parallel N       oracle workers per extraction (0 = GOMAXPROCS)
 //	-max-inflight N   concurrent extractions across fingerprints (default 2)
 //	-cache N          in-memory policy-blob LRU entries (0 disables, default
-//	                  128); an entry holds its blob and, once re-read, its
-//	                  decoded policy set (about 1.5× the blob); cached diff
-//	                  reports total at most the resident blobs' bytes, so 0
-//	                  disables them too
+//	                  128); an entry holds a blob and its digest; cached
+//	                  diff reports total at most the resident blobs' bytes,
+//	                  so 0 disables them too
 //	-domains ids      comma-separated check-domain IDs to serve (default:
 //	                  every registered domain); requests naming another
 //	                  domain fail with the stable unknown_domain code
@@ -78,7 +77,7 @@ func main() {
 	storeDir := flag.String("store", "polorad-store", "policy store directory")
 	parallel := flag.Int("parallel", 0, "oracle extraction workers per analysis mode (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 2, "concurrent extractions across distinct fingerprints")
-	cache := flag.Int("cache", 128, "in-memory policy-blob LRU entries (0 disables the cache); an entry holds its blob and, once re-read, its decoded policy set (about 1.5x the blob); cached diff reports total at most the resident blobs' bytes")
+	cache := flag.Int("cache", 128, "in-memory policy-blob LRU entries (0 disables the cache); an entry holds a blob and its digest; cached diff reports total at most the resident blobs' bytes")
 	domains := flag.String("domains", "", "comma-separated check-domain IDs to serve (empty = all registered)")
 	logFormat := flag.String("log-format", "text", "structured log output: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")

@@ -395,9 +395,9 @@ func (c *Controller) Pairs() []*PairStatus {
 
 // Pair returns the latest status of one pair including its reconciled
 // diff report. If the report bytes are not cached (fresh restart), they
-// are recomputed through the store and verified against the entry's
-// digest, so what this returns is always exactly what the controller
-// observed.
+// are read through the store's DiffWire, which serves the bytes /v1/diff
+// does, and verified against the entry's digest, so what this returns is
+// always exactly what the controller observed.
 func (c *Controller) Pair(ctx context.Context, key string) (*PairStatus, error) {
 	c.mu.Lock()
 	e := c.tl.latestFor(key)
@@ -407,11 +407,8 @@ func (c *Controller) Pair(ctx context.Context, key string) (*PairStatus, error) 
 		return nil, ErrUnknownPair
 	}
 	if wire == nil {
-		rep, err := c.st.DiffContext(ctx, e.FpA, e.FpB)
-		if err != nil {
-			return nil, err
-		}
-		if wire, err = rep.EncodeJSON(); err != nil {
+		var err error
+		if wire, _, err = c.st.DiffWire(ctx, e.FpA, e.FpB); err != nil {
 			return nil, err
 		}
 		sum := sha256.Sum256(wire)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"strings"
 	"testing"
 
 	"policyoracle/internal/corpus/gen"
@@ -245,11 +246,10 @@ func TestUndigestedBlobNeverSeeds(t *testing.T) {
 	}
 }
 
-// Sidecars keep decode-only checking (see loadIncrementalSeed). This
-// samples the evidence: all eight bits of every 5th byte of the test
-// library's sidecar, each seeding the extraction of the next revision. A
-// mutant may fail to decode, force a full extraction or seed an
-// incremental one, but the blob must be the cold extraction's.
+// A sidecar is verified against its digest like a blob: all eight bits of
+// every 5th byte of the test library's sidecar are flipped in turn, and
+// each mutant must fail the check, so the next revision's extraction runs
+// in full and its blob is the cold extraction's.
 func TestSidecarBitFlipsNeverChangeTheBlob(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	ctx := context.Background()
@@ -273,7 +273,7 @@ func TestSidecarBitFlipsNeverChangeTheBlob(t *testing.T) {
 	}
 	want := exportBytes(t, v2Sources())
 	mutant := bytes.Clone(side)
-	n, incremental := 0, 0
+	n := 0
 	for i := 0; i < len(mutant); i += 5 {
 		for bit := 0; bit < 8; bit++ {
 			mutant[i] ^= 1 << bit
@@ -290,19 +290,98 @@ func TestSidecarBitFlipsNeverChangeTheBlob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("byte %d bit %d (%q): seeded blob differs from a cold extraction",
-					i, bit, side[max(0, i-20):min(len(side), i+20)])
-			}
-			if !st.Full {
-				incremental++
+			if prev != nil || !st.Full || !bytes.Equal(got, want) {
+				t.Fatalf("byte %d bit %d (%q): seeded=%v full=%v, blob equals the cold extraction's: %v; want a full extraction and the cold blob",
+					i, bit, side[max(0, i-20):min(len(side), i+20)], prev != nil, st.Full, bytes.Equal(got, want))
 			}
 			mutant[i] ^= 1 << bit
 			n++
 		}
 	}
-	if incremental == 0 {
-		t.Fatal("no mutant seeded an incremental extraction, so the sweep shows nothing")
+	// The unmodified sidecar still seeds.
+	if err := os.WriteFile(sidePath, side, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d sidecar mutants, %d still incremental, every blob the cold extraction's", n, incremental)
+	if s.loadIncrementalSeed(res1.Fingerprint) == nil {
+		t.Fatal("the unmodified sidecar does not seed")
+	}
+	t.Logf("%d sidecar mutants, every one rejected", n)
+}
+
+// helperMJ's get reaches its checkRead through helper0 and calls helper1
+// too: two package-private helpers whose names are one bit apart.
+const helperMJ = `
+package api;
+import java.lang.*;
+public class Store {
+  private SecurityManager sm;
+  public void put(String key) {
+    sm.checkWrite(key);
+    write0(key);
+  }
+  public String get(String key) {
+    helper1(key);
+    return helper0(key);
+  }
+  String helper0(String key) {
+    sm.checkRead(key);
+    return read0(key);
+  }
+  void helper1(String key) { }
+  native void write0(String key);
+  native String read0(String key);
+}
+`
+
+// A one-bit flip in a sidecar can turn an entry's dependency into another
+// method's name. Flipping helper0 to helper1 in get's dependencies unpins
+// get from helper0, so a revision whose helper0 drops its checkRead would
+// splice get's stale policy, check and all, into the new blob: the stored
+// policy would hide the dropped check. The flipped sidecar must fail its
+// digest check, and the update must write the cold extraction's blob.
+func TestFlippedSidecarDependencyNeverSeeds(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	ctx := context.Background()
+	v1 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": helperMJ}
+	v2 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": strings.Replace(helperMJ,
+		"    sm.checkRead(key);\n    return read0(key);", "    return read0(key);", 1)}
+	if v2["lib.mj"] == helperMJ {
+		t.Fatal("v2 did not drop helper0's check")
+	}
+	res1, err := s.Update(ctx, "a", v1, OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidePath := s.depsPath(res1.Fingerprint)
+	side, err := os.ReadFile(sidePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := bytes.Index(side, []byte(`"api.Store.get(String)": [`))
+	dep := bytes.Index(side[max(deps, 0):], []byte(`"api.Store.helper0(String)"`))
+	if deps < 0 || dep < 0 {
+		t.Fatalf("sidecar lists no helper0 among get's dependencies:\n%s", side)
+	}
+	side[deps+dep+len(`"api.Store.helper`)] ^= 1 // helper0 -> helper1
+	if err := os.WriteFile(sidePath, side, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A new process, whose summary cache is cold: only the seed could
+	// splice entries.
+	s = openTestStore(t, dir)
+	res2, err := s.Update(ctx, "a", v2, OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(s.policyPath(res2.Fingerprint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := exportBytes(t, v2); !bytes.Equal(got, want) {
+		t.Errorf("update %+v over a flipped sidecar wrote a blob that differs from a cold extraction:\n%s\nvs\n%s", res2, got, want)
+	}
+	if res2.Incremental || res2.Reanalyzed != res2.Entries {
+		t.Errorf("update over a flipped sidecar: %+v, want a full extraction", res2)
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -83,7 +84,7 @@ func TestStoreDiffDomainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Diff(fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
+	if _, err := s.DiffContext(context.Background(), fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
 		t.Fatalf("cross-domain diff: err = %v, want oracle.ErrDomainMismatch", err)
 	}
 	// Two crypto-domain bundles diff fine.
@@ -91,7 +92,7 @@ func TestStoreDiffDomainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Diff(fpCrypto, fpCrypto2)
+	rep, err := s.DiffContext(context.Background(), fpCrypto, fpCrypto2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,87 +1,105 @@
 package store
 
 import (
+	"context"
+	"slices"
 	"testing"
-
-	"policyoracle/internal/policy"
 )
 
-func TestBlobLRUEvictsOldest(t *testing.T) {
-	c := newBlobLRU(2)
-	if n := c.add("a", blobRef{blob: []byte("A")}); n != 0 {
-		t.Errorf("evicted %d on first insert", n)
+// TestLRU drives the one LRU type both caches run on: each step puts or
+// gets a key or evicts the oldest entry, and the cache must then hold
+// exactly the keys listed, most recently used first, with their values
+// and the sizes summed.
+func TestLRU(t *testing.T) {
+	type step struct {
+		op        string // "put", "get" or "evict"
+		key       string
+		val, size int
+		// want is the resident keys, most recently used first, and
+		// bytes their total size.
+		want  []string
+		bytes int
 	}
-	c.add("b", blobRef{blob: []byte("B")})
-	if n := c.add("c", blobRef{blob: []byte("C")}); n != 1 {
-		t.Errorf("evicted %d inserting past capacity, want 1", n)
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"insert", []step{
+			{op: "put", key: "a", val: 1, size: 10, want: []string{"a"}, bytes: 10},
+			{op: "put", key: "b", val: 2, size: 5, want: []string{"b", "a"}, bytes: 15},
+		}},
+		{"refresh replaces value and size", []step{
+			{op: "put", key: "a", val: 1, size: 10, want: []string{"a"}, bytes: 10},
+			{op: "put", key: "b", val: 2, size: 5, want: []string{"b", "a"}, bytes: 15},
+			{op: "put", key: "a", val: 3, size: 2, want: []string{"a", "b"}, bytes: 7},
+		}},
+		{"eviction order follows use", []step{
+			{op: "put", key: "a", val: 1, size: 1, want: []string{"a"}, bytes: 1},
+			{op: "put", key: "b", val: 2, size: 2, want: []string{"b", "a"}, bytes: 3},
+			{op: "put", key: "c", val: 3, size: 4, want: []string{"c", "b", "a"}, bytes: 7},
+			{op: "get", key: "a", want: []string{"a", "c", "b"}, bytes: 7},
+			{op: "evict", want: []string{"a", "c"}, bytes: 5},
+			{op: "get", key: "b", want: []string{"a", "c"}, bytes: 5},
+			{op: "evict", want: []string{"a"}, bytes: 1},
+			{op: "evict", want: nil, bytes: 0},
+		}},
 	}
-	if _, ok := c.get("a"); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	if ref, ok := c.get("c"); !ok || string(ref.blob) != "C" {
-		t.Error("newest entry missing")
-	}
-	// Refreshing an existing key is not an insert and evicts nothing.
-	if n := c.add("b", blobRef{blob: []byte("B2")}); n != 0 || c.len() != 2 {
-		t.Errorf("refresh: evicted=%d len=%d", n, c.len())
-	}
-	if ref, _ := c.get("b"); string(ref.blob) != "B2" {
-		t.Error("refresh did not replace the blob")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := newLRU[string, int]()
+			vals := map[string]int{}
+			for i, s := range c.steps {
+				switch s.op {
+				case "put":
+					l.put(s.key, s.val, s.size)
+					vals[s.key] = s.val
+				case "get":
+					v, ok := l.get(s.key)
+					if ok != slices.Contains(s.want, s.key) || ok && v != vals[s.key] {
+						t.Fatalf("step %d: get(%q) = %d, %v", i, s.key, v, ok)
+					}
+				case "evict":
+					l.evictOldest()
+				}
+				var got []string
+				for el := l.order.Front(); el != nil; el = el.Next() {
+					got = append(got, el.Value.(*lruEntry[string, int]).key)
+				}
+				if !slices.Equal(got, s.want) || len(l.items) != len(s.want) || l.len() != len(s.want) || l.bytes != s.bytes {
+					t.Fatalf("step %d (%s %q): resident %v (%d in the map), %d bytes; want %v, %d bytes",
+						i, s.op, s.key, got, len(l.items), l.bytes, s.want, s.bytes)
+				}
+				for _, k := range got {
+					if e := l.items[k].Value.(*lruEntry[string, int]); e.val != vals[k] {
+						t.Fatalf("step %d: %q holds %d, want %d", i, k, e.val, vals[k])
+					}
+				}
+			}
+		})
 	}
 }
 
-// A disabled cache (capacity <= 0) must store nothing — and, the bug this
-// pins: it must not report a phantom eviction for every add.
+// A disabled cache (-cache 0, CacheEntries < 0) holds nothing, caches no
+// report, and — the bug this pins — counts no phantom eviction for each
+// blob it declines to hold.
 func TestBlobLRUDisabled(t *testing.T) {
-	for _, capacity := range []int{0, -1} {
-		c := newBlobLRU(capacity)
-		if n := c.add("a", blobRef{blob: []byte("A")}); n != 0 {
-			t.Errorf("cap=%d: add reported %d evictions, want 0", capacity, n)
+	s, err := Open(Config{Dir: t.TempDir(), CacheEntries: -1, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps, _ := putFour(t, s)
+	for i := 0; i < 2; i++ {
+		for _, fp := range fps {
+			if _, _, err := s.DiffWire(context.Background(), fps[0], fp); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if c.len() != 0 {
-			t.Errorf("cap=%d: disabled cache holds %d entries", capacity, c.len())
-		}
-		if _, ok := c.get("a"); ok {
-			t.Errorf("cap=%d: disabled cache returned a hit", capacity)
-		}
 	}
-}
-
-// An entry retains the set decoded from exactly its bytes, and only on
-// their second decode: a decode of bytes the entry no longer holds, or
-// the first decode after a refresh, retains nothing.
-func TestBlobLRURetainsSetOnSecondDecode(t *testing.T) {
-	c := newBlobLRU(2)
-	blob := []byte("A")
-	set := policy.NewProgramPolicies("a")
-	retained := func() *policy.ProgramPolicies {
-		t.Helper()
-		ref, ok := c.get("a")
-		if !ok {
-			t.Fatal("entry missing")
-		}
-		return ref.set
-	}
-	c.add("a", blobRef{blob: blob})
-	c.noteDecode("a", []byte("A"), set) // equal bytes, but not the entry's
-	c.noteDecode("a", []byte("A"), set)
-	if retained() != nil {
-		t.Error("retained a set decoded from another copy of the bytes")
-	}
-	c.noteDecode("a", blob, set)
-	if retained() != nil {
-		t.Error("retained a set on the first decode")
-	}
-	c.noteDecode("a", blob, set)
-	if retained() != set {
-		t.Error("second decode did not retain the set")
-	}
-	c.add("a", blobRef{blob: blob, set: set}) // refresh after a decode-checked read
-	if retained() != nil {
-		t.Error("refresh kept the retained set")
-	}
-	c.noteDecode("a", blob, set)
-	if retained() != set {
-		t.Error("a decode-checked refresh did not count as the first decode")
+	s.mu.Lock()
+	resident, reports := s.cache.len(), s.reports.len()
+	s.mu.Unlock()
+	if st := s.Stats(); st.Evictions != 0 || st.MemHits != 0 || st.ReportHits != 0 || resident != 0 || reports != 0 {
+		t.Errorf("disabled cache: %d blobs and %d reports resident, %+v; want none, and no evictions or hits",
+			resident, reports, st)
 	}
 }

@@ -191,7 +191,7 @@ func TestConcurrentUpdatesSameNameSerialize(t *testing.T) {
 		t.Errorf("index fingerprint %q is not any writer's revision %v", latest, fps)
 	}
 	// The indexed revision's policies are persisted and readable.
-	if _, err := s.PolicySet(latest); err != nil {
+	if _, err := s.Policies(latest); err != nil {
 		t.Errorf("latest revision unreadable: %v", err)
 	}
 

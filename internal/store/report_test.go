@@ -34,6 +34,13 @@ func freshDiff(t *testing.T, a, b []byte) []byte {
 	return wire
 }
 
+func resident(s *Store, fp string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.cache.items[fp]
+	return ok
+}
+
 // checkReportBound fails unless the cached reports' bytes add up to the
 // cache's count and stay within the bytes of the resident blobs.
 func checkReportBound(t *testing.T, s *Store) {
@@ -42,11 +49,11 @@ func checkReportBound(t *testing.T, s *Store) {
 	defer s.mu.Unlock()
 	sum := 0
 	for el := s.reports.order.Front(); el != nil; el = el.Next() {
-		sum += len(el.Value.(*reportEntry).wire)
+		sum += len(el.Value.(*lruEntry[reportKey, report]).val.wire)
 	}
 	blobs := 0
 	for el := s.cache.order.Front(); el != nil; el = el.Next() {
-		blobs += len(el.Value.(*lruEntry).blob)
+		blobs += len(el.Value.(*lruEntry[string, blobRef]).val.blob)
 	}
 	if sum != s.reports.bytes || blobs != s.cache.bytes {
 		t.Fatalf("byte counts drifted: reports %d counted as %d, blobs %d counted as %d",
@@ -80,7 +87,7 @@ func putFour(t *testing.T, s *Store) ([]string, [][]byte) {
 }
 
 // Concurrent DiffWire calls over four fingerprints behind a two-entry
-// cache mix report hits, misses over retained sets, and misses over
+// cache mix report hits, misses over resident blobs, and misses over
 // blobs read back from disk. Every one must serve the bytes a fresh
 // decode, compare and encode of the two blobs produces.
 func TestConcurrentDiffWireIsTheDiff(t *testing.T) {
@@ -144,6 +151,106 @@ func TestConcurrentDiffWireIsTheDiff(t *testing.T) {
 	if after.ReportHits != before.ReportHits+1 || after.Decodes != before.Decodes {
 		t.Errorf("repeated diff: report hits %d -> %d, decodes %d -> %d; want one hit and no decode",
 			before.ReportHits, after.ReportHits, before.Decodes, after.Decodes)
+	}
+}
+
+// Concurrent DiffContext and DiffWire calls over four fingerprints behind
+// a two-entry cache keep evicting and re-reading blobs from disk, and
+// DiffWire mixes report hits with misses. Every report must match the
+// one computed from fresh imports of the two blobs.
+func TestConcurrentDiffsMatchFreshImports(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), CacheEntries: 2, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps, blobs := putFour(t, s)
+	n := len(fps)
+	want := map[[2]int][]byte{}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			want[[2]int{a, b}] = freshDiff(t, blobs[a], blobs[b])
+		}
+	}
+	ctx := context.Background()
+	diffPair := func(a, b int, wire bool) error {
+		var got []byte
+		if wire {
+			var err error
+			if got, _, err = s.DiffWire(ctx, fps[a], fps[b]); err != nil {
+				return err
+			}
+		} else {
+			rep, err := s.DiffContext(ctx, fps[a], fps[b])
+			if err != nil {
+				return err
+			}
+			if got, err = rep.EncodeJSON(); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(got, want[[2]int{a, b}]) {
+			return fmt.Errorf("diff lib%d lib%d (DiffWire %v) differs from the fresh-import reference", a, b, wire)
+		}
+		return nil
+	}
+
+	const workers, rounds = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				a := (w + r) % n
+				if err := diffPair(a, (a+1+r%(n-1))%n, (w+r)%2 == 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.DiskHits == 0 || st.Evictions == 0 || st.ReportHits == 0 {
+		t.Errorf("cache never churned or never hit: %+v", st)
+	}
+	checkReportBound(t, s)
+}
+
+// A blob is decoded only to compute a diff, and the set is not kept: each
+// DiffContext decodes both blobs, however often the pair was diffed, and
+// a DiffWire decodes both on a report miss and nothing on a hit.
+func TestDiffDecodes(t *testing.T) {
+	s := openTestStore(t, t.TempDir())
+	fps, _ := putFour(t, s)
+	ctx := context.Background()
+	diffContext := func() error { _, err := s.DiffContext(ctx, fps[0], fps[1]); return err }
+	diffWire := func() error { _, _, err := s.DiffWire(ctx, fps[0], fps[1]); return err }
+	steps := []struct {
+		name    string
+		diff    func() error
+		decodes uint64
+	}{
+		{"DiffContext", diffContext, 2},
+		{"repeated DiffContext", diffContext, 2},
+		{"first DiffWire", diffWire, 2},
+		{"repeated DiffWire", diffWire, 0},
+		{"repeated DiffWire", diffWire, 0},
+		{"DiffContext of a cached report's pair", diffContext, 2},
+	}
+	if st := s.Stats(); st.Decodes != 0 {
+		t.Fatalf("extraction decoded %d blobs, want none", st.Decodes)
+	}
+	for _, step := range steps {
+		before := s.Stats().Decodes
+		if err := step.diff(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Decodes - before; got != step.decodes {
+			t.Errorf("%s: %d decodes, want %d", step.name, got, step.decodes)
+		}
+	}
+	if st := s.Stats(); st.ReportHits != 2 || st.Diffs != uint64(len(steps)) {
+		t.Errorf("after %d diffs: %+v, want 2 report hits", len(steps), st)
 	}
 }
 
@@ -215,7 +322,7 @@ func TestReportCacheSkipsErrors(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	cached := s.reports.order.Len()
+	cached := s.reports.len()
 	s.mu.Unlock()
 	if st := s.Stats(); cached != 0 || st.ReportHits != 0 || st.Diffs != 0 {
 		t.Errorf("after two failed diffs: %d reports cached, %+v", cached, st)
@@ -256,7 +363,7 @@ func TestReportCacheOffWithoutBlobCache(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	cached := s.reports.order.Len()
+	cached := s.reports.len()
 	s.mu.Unlock()
 	st := s.Stats()
 	if cached != 0 || st.ReportHits != 0 || st.Decodes-before != 6 {
@@ -298,6 +405,38 @@ func TestReportCacheBoundedByResidentBlobs(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkStoreWarmDiff measures what reconcile pays per pair:
+// DiffContext of two resident fingerprints of the generated small corpus,
+// which decodes both blobs and runs one Compare. Run with -benchmem.
+func BenchmarkStoreWarmDiff(b *testing.B) {
+	s, err := Open(Config{Dir: b.TempDir(), Parallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := gen.Generate(gen.Small())
+	fpA, _, err := s.Put("jdk", c.Sources["jdk"], OptionsWire{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fpB, _, err := s.Put("harmony", c.Sources["harmony"], OptionsWire{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.DiffContext(ctx, fpA, fpB); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchReport, err = s.DiffContext(ctx, fpA, fpB); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var benchReport *diff.Report
 
 // BenchmarkStoreDiffWire measures a repeated diff: DiffWire of two
 // resident fingerprints of the generated small corpus, whose report is

@@ -14,6 +14,7 @@
 //	                               newline, as sha256sum prints it
 //	deps/<fingerprint>.json        incremental sidecar (oracle.Snapshot sans
 //	                               policies): method hashes + entry deps
+//	deps/<fingerprint>.sha256      the sidecar's SHA-256, in the same form
 //	names.json                     library name → latest fingerprint
 //
 // The sidecar and name index power delta-aware updates (Update): a new
@@ -26,17 +27,16 @@
 // failures are returned to the caller, and a corrupt index is rebuilt
 // from the bundles directory instead of being discarded.
 //
-// The store is content-addressed end to end. Every blob it persists,
-// extracted or fetched from a backend, is written after its digest, and
-// every read of a persisted blob verifies it against that digest: a
-// mismatch (bit rot, a torn write, a crash between the two writes) counts
-// as a corrupt blob and is re-extracted from its bundle, so the store
-// self-heals. A blob with no digest file was written by an older build; a
-// read checks it by decoding it instead, and it never seeds an
-// incremental update. Otherwise a blob is decoded only when a reader
-// needs its policy set, and an LRU entry keeps the set once its blob has
-// been decoded a second time, so warm diffs of a hot fingerprint do not
-// decode it again.
+// The store is content-addressed end to end. Every blob and sidecar it
+// persists is written after its digest, and every read of a persisted
+// blob or sidecar verifies it against that digest: a blob that fails (bit
+// rot, a torn write, a crash between the two writes) counts as corrupt
+// and is re-extracted from its bundle, so the store self-heals, and a
+// sidecar that fails never seeds. A blob with no digest file was written
+// by an older build; a read checks it by decoding it instead, and neither
+// it nor a sidecar without a digest ever seeds an incremental update.
+// Otherwise a blob is decoded only to compute a diff, and the decoded set
+// is not kept.
 //
 // DiffWire serves a diff report's wire bytes from a report cache keyed by
 // the digests of the two blobs compared, so a repeated diff decodes,
@@ -62,7 +62,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"policyoracle/internal/diff"
@@ -93,10 +92,8 @@ type Config struct {
 	// CacheEntries caps the in-memory blob LRU: 0 means the default of
 	// 128, and a negative value disables the in-memory cache entirely
 	// (every read is served from disk or extraction, and no diff report
-	// is cached). An entry holds its blob and digest and, once the blob
-	// has been decoded twice, its decoded policy set (about 1.5× the
-	// blob). The diff reports DiffWire caches total at most the bytes of
-	// the resident blobs.
+	// is cached). An entry holds a blob and its digest. The diff reports
+	// DiffWire caches total at most the bytes of the resident blobs.
 	CacheEntries int
 	// Parallel is the oracle worker count per extraction
 	// (oracle.Options.Parallel; <= 0 means GOMAXPROCS).
@@ -114,14 +111,17 @@ type Config struct {
 	// behavior.
 	Backends []Backend
 	// Registry receives the store's and the extractor's metrics. Nil
-	// disables instrumentation (the instruments become no-ops).
+	// keeps the store's on a private registry, which Stats still reads,
+	// and disables the extractor's.
 	Registry *telemetry.Registry
 	// Logger receives structured store events (extraction start/finish,
 	// corruption, eviction pressure). Nil discards them.
 	Logger *slog.Logger
 }
 
-// Stats is a snapshot of the store's counters.
+// Stats is a snapshot of the store's counters. They are read from the
+// store's metric instruments, so two Stores opened on one Registry share
+// their counts, as they share their scrape series.
 type Stats struct {
 	// MemHits served from the LRU, DiskHits from a persisted blob that
 	// passed its check, Misses required a backend fetch or extraction.
@@ -149,8 +149,10 @@ type Stats struct {
 	// BackendHits served a blob from a configured backend (for a peer
 	// backend: fetched from another replica instead of extracting).
 	BackendHits uint64 `json:"backendHits"`
-	// Decodes counts every policy.ImportJSON the store runs: for readers
-	// the LRU had no set for, and to check backend and digest-less blobs.
+	// Decodes counts every policy.ImportJSON the store runs: two for each
+	// diff it computes (DiffContext, or a DiffWire the report cache
+	// misses), one when Update finds its content already extracted, and
+	// one to check each backend or digest-less blob.
 	Decodes uint64 `json:"decodes"`
 }
 
@@ -166,10 +168,11 @@ type Store struct {
 	sums     *oracle.SummaryCache
 	log      *slog.Logger
 
-	mu      sync.Mutex
-	cache   *blobLRU
-	reports *reportLRU // bounded by cache.bytes
-	flight  map[string]*flightCall
+	mu       sync.Mutex
+	capacity int                     // cache's entry bound; <= 0 disables both caches
+	cache    *lru[string, blobRef]   // by fingerprint, sized by blob bytes
+	reports  *lru[reportKey, report] // bounded by cache.bytes
+	flight   map[string]*flightCall
 
 	// namesMu serializes read-modify-write cycles on names.json; it is
 	// separate from mu so index writes never block cache reads.
@@ -180,11 +183,6 @@ type Store struct {
 	// their read-previous/extract/advance-index sequences.
 	updateMu    sync.Mutex
 	updateLocks map[string]*sync.Mutex
-
-	memHits, diskHits, misses, coalesced atomic.Uint64
-	extractions, corruptBlobs            atomic.Uint64
-	bundles, diffs, evictions            atomic.Uint64
-	backendHits, decodes, reportHits     atomic.Uint64
 
 	// load runs the frontend on one bundle's sources, and extract
 	// extracts a bundle's policies (see extractLibrary for its library
@@ -208,14 +206,10 @@ type flightCall struct {
 // digest is a policy blob's SHA-256.
 type digest [sha256.Size]byte
 
-// blobRef is one fingerprint's blob as a read returns it: the bytes,
-// their digest, and the policy set decoded from them when one is at hand
-// (the LRU entry's retained set, or the decode that checked a digest-less
-// disk blob or a backend blob), nil otherwise.
+// blobRef is a blob and its digest.
 type blobRef struct {
 	blob []byte
 	sum  digest
-	set  *policy.ProgramPolicies
 }
 
 func refOf(blob []byte) blobRef {
@@ -241,17 +235,22 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = telemetry.NopLogger()
 	}
+	storeReg := cfg.Registry
+	if storeReg == nil {
+		storeReg = telemetry.New() // Stats reads the store's instruments
+	}
 	s := &Store{
 		dir:         cfg.Dir,
 		parallel:    cfg.Parallel,
 		sem:         make(chan struct{}, cfg.MaxInflight),
 		backends:    cfg.Backends,
-		tm:          telemetry.NewStoreMetrics(cfg.Registry),
+		tm:          telemetry.NewStoreMetrics(storeReg),
 		xm:          telemetry.NewExtractMetrics(cfg.Registry),
 		sums:        oracle.NewSummaryCache(0),
 		log:         cfg.Logger,
-		cache:       newBlobLRU(cfg.CacheEntries),
-		reports:     newReportLRU(),
+		capacity:    cfg.CacheEntries,
+		cache:       newLRU[string, blobRef](),
+		reports:     newLRU[reportKey, report](),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
 	}
@@ -273,6 +272,10 @@ func (s *Store) digestPath(fp string) string {
 
 func (s *Store) depsPath(fp string) string {
 	return filepath.Join(s.dir, "deps", fp+".json")
+}
+
+func (s *Store) depsDigestPath(fp string) string {
+	return filepath.Join(s.dir, "deps", fp+".sha256")
 }
 
 func (s *Store) namesPath() string {
@@ -338,7 +341,6 @@ func (s *Store) put(name string, sources map[string]string, w OptionsWire) (fp s
 	if err := WriteAtomic(path, data); err != nil {
 		return "", false, nil, fmt.Errorf("store: %w", err)
 	}
-	s.bundles.Add(1)
 	s.tm.Bundles.Inc()
 	if err := s.setLatestFingerprint(name, fp); err != nil {
 		return "", false, nil, err
@@ -493,10 +495,7 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 	return ref.blob, err
 }
 
-// read returns fp's blob, its digest and, when one is at hand, the policy
-// set decoded from it: the LRU entry's retained set, or the set a
-// digest-less disk blob or a backend blob was decoded into to check it.
-// The set is nil otherwise.
+// read returns fp's blob and its digest.
 func (s *Store) read(ctx context.Context, fp string) (blobRef, error) {
 	if !oracle.IsFingerprint(fp) {
 		return blobRef{}, fmt.Errorf("%w: %q", ErrMalformed, fp)
@@ -504,14 +503,12 @@ func (s *Store) read(ctx context.Context, fp string) (blobRef, error) {
 	s.mu.Lock()
 	if ref, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
-		s.memHits.Add(1)
 		s.tm.CacheHits.With("mem").Inc()
 		return ref, nil
 	}
 	if c, ok := s.flight[fp]; ok {
 		c.waiters++
 		s.mu.Unlock()
-		s.coalesced.Add(1)
 		s.tm.Coalesced.Inc()
 		return s.wait(ctx, fp, c)
 	}
@@ -555,8 +552,8 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) (blobRef, er
 		return c.ref, c.err
 	case <-ctx.Done():
 		// When the result and the cancellation race, prefer the result:
-		// callers on a non-cancellable context (the Policies/PolicySet/Diff
-		// wrappers use context.Background) must always take this path, and
+		// callers on a non-cancellable context (the Policies wrapper uses
+		// context.Background) must always take this path, and
 		// a context caller that loses this race would otherwise decrement a
 		// refcount the completion path has already settled.
 		select {
@@ -579,31 +576,33 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) (blobRef, er
 	}
 }
 
-// cacheBlob makes ref fp's LRU entry, records the evictions, and trims
-// the report cache to the blob bytes left resident. Called with s.mu
-// held.
+// cacheBlob makes ref fp's LRU entry, evicts the least recently used
+// entries past the capacity, and trims the report cache to the blob bytes
+// left resident. A disabled cache holds nothing and so evicts nothing.
+// Called with s.mu held.
 func (s *Store) cacheBlob(fp string, ref blobRef) {
-	if n := s.cache.add(fp, ref); n > 0 {
-		s.evictions.Add(uint64(n))
-		s.tm.Evictions.Add(float64(n))
+	if s.capacity <= 0 {
+		return
+	}
+	s.cache.put(fp, ref, len(ref.blob))
+	for s.cache.len() > s.capacity {
+		s.cache.evictOldest()
+		s.tm.Evictions.Inc()
 	}
 	s.tm.CachedBlobs.Set(float64(s.cache.len()))
-	s.reports.trim(s.cache.bytes)
+	for s.reports.bytes > s.cache.bytes {
+		s.reports.evictOldest()
+	}
 }
 
 // loadOrExtract serves one fingerprint from disk, then the configured
 // backends (unless the read is local-only), falling back to extraction.
-// A verified disk blob and an extracted one come without a set, so what
-// readers decode is always the persisted bytes, never the extractor's
-// in-memory policies; a blob checked by decoding it comes with that set.
 // Exactly one goroutine runs this per in-flight fingerprint.
 func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (blobRef, error) {
 	if ref, ok := s.readBlob(fp, true); ok {
-		s.diskHits.Add(1)
 		s.tm.CacheHits.With("disk").Inc()
 		return ref, nil
 	}
-	s.misses.Add(1)
 	s.tm.CacheMisses.Inc()
 	if !localOnly {
 		if ref, ok := s.fromBackends(ctx, fp); ok {
@@ -620,33 +619,45 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (b
 
 // readBlob reads fp's persisted blob and verifies it against its digest.
 // A blob with no digest file was written by an older build: when
-// undigested is set, it is checked by decoding it instead and comes with
-// the decoded set; otherwise it is not used. ok is false when there is no
-// usable blob; one that fails its check is counted and logged as corrupt.
+// undigested is set, it is checked by decoding it instead; otherwise it
+// is not used. ok is false when there is no usable blob; one that fails
+// its check is counted and logged as corrupt.
 func (s *Store) readBlob(fp string, undigested bool) (ref blobRef, ok bool) {
 	blob, err := os.ReadFile(s.policyPath(fp))
 	if err != nil {
 		return blobRef{}, false
 	}
-	ref = refOf(blob)
-	want, err := os.ReadFile(s.digestPath(fp))
-	switch {
-	case err == nil:
-		if bytes.Equal(want, digestLine(ref.sum)) {
-			return ref, true
-		}
-	case errors.Is(err, os.ErrNotExist):
+	ref, err = verify(blob, s.digestPath(fp))
+	if errors.Is(err, errNoDigest) {
 		if !undigested {
 			return blobRef{}, false
 		}
-		if ref.set, err = s.decode(blob); err == nil {
-			return ref, true
-		}
+		_, err = s.decode(blob)
 	}
-	s.corruptBlobs.Add(1)
+	if err == nil {
+		return ref, true
+	}
 	s.tm.CorruptBlobs.Inc()
-	s.log.Warn("store: corrupt policy blob, re-extracting", "fingerprint", fp)
+	s.log.Warn("store: corrupt policy blob, re-extracting", "fingerprint", fp, "err", err)
 	return blobRef{}, false
+}
+
+// errNoDigest reports a persisted file with no digest file beside it.
+var errNoDigest = errors.New("store: no digest file")
+
+// verify returns data and its digest, checked against the digest file at
+// sumPath: errNoDigest when there is none, an error when it holds another
+// digest or cannot be read.
+func verify(data []byte, sumPath string) (blobRef, error) {
+	ref := refOf(data)
+	want, err := os.ReadFile(sumPath)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return ref, errNoDigest
+	case err == nil && !bytes.Equal(want, digestLine(ref.sum)):
+		return ref, errors.New("store: digest mismatch")
+	}
+	return ref, err
 }
 
 // digestLine renders a digest file: lowercase hex and a newline.
@@ -657,15 +668,20 @@ func digestLine(sum digest) []byte {
 	return line
 }
 
-// persistBlob writes fp's digest, then its blob. A crash between the two
-// writes leaves the new digest beside no blob or an older one, which
-// verifies only if it holds the same bytes; anything else is re-extracted
-// on its next read.
-func (s *Store) persistBlob(fp string, ref blobRef) error {
-	if err := WriteAtomic(s.digestPath(fp), digestLine(ref.sum)); err != nil {
+// persist writes ref's digest to sumPath, then its bytes to path. A crash
+// between the two writes leaves the new digest beside no file or an older
+// one, which verifies only if it holds the same bytes; anything else
+// fails its next read's check.
+func persist(path, sumPath string, ref blobRef) error {
+	if err := WriteAtomic(sumPath, digestLine(ref.sum)); err != nil {
 		return err
 	}
-	return WriteAtomic(s.policyPath(fp), ref.blob)
+	return WriteAtomic(path, ref.blob)
+}
+
+// persistBlob persists fp's blob with its digest.
+func (s *Store) persistBlob(fp string, ref blobRef) error {
+	return persist(s.policyPath(fp), s.digestPath(fp), ref)
 }
 
 // extractAndPersist is the store's one extraction path: cold reads call
@@ -690,7 +706,6 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 	if err := ctx.Err(); err != nil {
 		return blobRef{}, nil, err
 	}
-	s.extractions.Add(1)
 	s.tm.Extractions.Inc()
 	fp := b.Fingerprint
 	s.log.Info("store: extraction start", "fingerprint", fp, "library", b.Name, "seeded", prev != nil)
@@ -722,7 +737,7 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 	snap.Policies = nil
 	data, err := snap.Encode()
 	if err == nil {
-		err = WriteAtomic(s.depsPath(fp), data)
+		err = persist(s.depsPath(fp), s.depsDigestPath(fp), refOf(data))
 	}
 	if err != nil {
 		s.log.Warn("store: writing incremental sidecar failed", "fingerprint", fp, "err", err)
@@ -747,8 +762,7 @@ func (s *Store) fromBackends(ctx context.Context, fp string) (blobRef, bool) {
 			continue
 		}
 		ref := refOf(blob)
-		if ref.set, err = s.decode(blob); err != nil {
-			s.corruptBlobs.Add(1)
+		if _, err := s.decode(blob); err != nil {
 			s.tm.CorruptBlobs.Inc()
 			s.log.Warn("store: backend returned corrupt blob", "backend", b.Name(), "fingerprint", fp, "err", err)
 			continue
@@ -758,7 +772,6 @@ func (s *Store) fromBackends(ctx context.Context, fp string) (blobRef, bool) {
 			// blob just won't be a disk hit next time.
 			s.log.Warn("store: persisting backend blob failed", "backend", b.Name(), "fingerprint", fp, "err", err)
 		}
-		s.backendHits.Add(1)
 		s.tm.CacheHits.With("backend").Inc()
 		return ref, true
 	}
@@ -807,53 +820,10 @@ func (s *Store) extractLibrary(ctx context.Context, b *Bundle, lib, prev *oracle
 	return lib, st, nil
 }
 
-// PolicySet returns the parsed policies for a fingerprint with a
-// background context. The set is shared and read-only, as for
-// PolicySetContext.
-func (s *Store) PolicySet(fp string) (*policy.ProgramPolicies, error) {
-	return s.PolicySetContext(context.Background(), fp)
-}
-
-// PolicySetContext returns the parsed policies for a fingerprint: the set
-// decoded from exactly the blob PoliciesContext serves. The set may be
-// shared with other readers and retained by the LRU, so callers must not
-// mutate it.
-func (s *Store) PolicySetContext(ctx context.Context, fp string) (*policy.ProgramPolicies, error) {
-	ref, err := s.read(ctx, fp)
-	if err != nil {
-		return nil, err
-	}
-	return s.setOf(fp, ref)
-}
-
-// setOf returns the policy set of a blob fp's read returned: the set the
-// read brought, or a fresh decode, which the LRU entry holding these
-// bytes retains if it is their second.
-func (s *Store) setOf(fp string, ref blobRef) (*policy.ProgramPolicies, error) {
-	if ref.set != nil {
-		return ref.set, nil
-	}
-	set, err := s.decode(ref.blob)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.cache.noteDecode(fp, ref.blob, set)
-	s.mu.Unlock()
-	return set, nil
-}
-
 // decode imports a policy blob, counting the decode.
 func (s *Store) decode(blob []byte) (*policy.ProgramPolicies, error) {
-	s.decodes.Add(1)
 	s.tm.Decodes.Inc()
 	return policy.ImportJSON(blob)
-}
-
-// Diff differences the policies of two fingerprints with a background
-// context.
-func (s *Store) Diff(fpA, fpB string) (*diff.Report, error) {
-	return s.DiffContext(context.Background(), fpA, fpB)
 }
 
 // DiffContext differences the policies of two fingerprints. The report
@@ -863,15 +833,11 @@ func (s *Store) Diff(fpA, fpB string) (*diff.Report, error) {
 // domains fail loudly with oracle.ErrDomainMismatch — their check sets
 // index different tables and comparing them would be nonsense.
 func (s *Store) DiffContext(ctx context.Context, fpA, fpB string) (*diff.Report, error) {
-	pa, err := s.PolicySetContext(ctx, fpA)
+	a, b, err := s.readPair(ctx, fpA, fpB)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := s.PolicySetContext(ctx, fpB)
-	if err != nil {
-		return nil, err
-	}
-	return s.compare(fpA, fpB, pa, pb)
+	return s.compare(fpA, fpB, a, b)
 }
 
 // DiffWire returns the wire bytes of DiffContext's report
@@ -882,11 +848,7 @@ func (s *Store) DiffContext(ctx context.Context, fpA, fpB string) (*diff.Report,
 // holds no errors, and its reports total at most the bytes of the blobs
 // the LRU holds. Callers must not mutate the bytes.
 func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, domain string, err error) {
-	a, err := s.read(ctx, fpA)
-	if err != nil {
-		return nil, "", err
-	}
-	b, err := s.read(ctx, fpB)
+	a, b, err := s.readPair(ctx, fpA, fpB)
 	if err != nil {
 		return nil, "", err
 	}
@@ -895,20 +857,11 @@ func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, dom
 	r, ok := s.reports.get(key)
 	s.mu.Unlock()
 	if ok {
-		s.reportHits.Add(1)
 		s.tm.ReportHits.Inc()
-		s.countDiff()
+		s.tm.Diffs.Inc()
 		return r.wire, r.domain, nil
 	}
-	pa, err := s.setOf(fpA, a)
-	if err != nil {
-		return nil, "", err
-	}
-	pb, err := s.setOf(fpB, b)
-	if err != nil {
-		return nil, "", err
-	}
-	rep, err := s.compare(fpA, fpB, pa, pb)
+	rep, err := s.compare(fpA, fpB, a, b)
 	if err != nil {
 		return nil, "", err
 	}
@@ -916,25 +869,42 @@ func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, dom
 		return nil, "", fmt.Errorf("store: encoding the diff of %s and %s: %w", fpA, fpB, err)
 	}
 	s.mu.Lock()
-	s.reports.add(key, wire, rep.Domain, s.cache.bytes)
+	// The reports never outweigh the resident blobs, so with the blob
+	// cache disabled none stays cached.
+	s.reports.put(key, report{wire, rep.Domain}, len(wire))
+	for s.reports.bytes > s.cache.bytes {
+		s.reports.evictOldest()
+	}
 	s.mu.Unlock()
 	return wire, rep.Domain, nil
 }
 
-// compare differences two fingerprints' policy sets and counts the diff.
-// Sets of different check domains fail with oracle.ErrDomainMismatch.
-func (s *Store) compare(fpA, fpB string, pa, pb *policy.ProgramPolicies) (*diff.Report, error) {
+// readPair reads the blobs of a diff's two fingerprints.
+func (s *Store) readPair(ctx context.Context, fpA, fpB string) (a, b blobRef, err error) {
+	if a, err = s.read(ctx, fpA); err == nil {
+		b, err = s.read(ctx, fpB)
+	}
+	return a, b, err
+}
+
+// compare decodes two fingerprints' blobs, differences their policy sets
+// and counts the diff. Sets of different check domains fail with
+// oracle.ErrDomainMismatch. The decoded sets are not kept.
+func (s *Store) compare(fpA, fpB string, a, b blobRef) (*diff.Report, error) {
+	pa, err := s.decode(a.blob)
+	if err != nil {
+		return nil, err
+	}
+	pb, err := s.decode(b.blob)
+	if err != nil {
+		return nil, err
+	}
 	if pa.Domain != pb.Domain {
 		return nil, fmt.Errorf("%w: %s has %q, %s has %q",
 			oracle.ErrDomainMismatch, fpA, domainLabel(pa.Domain), fpB, domainLabel(pb.Domain))
 	}
-	s.countDiff()
-	return diff.Compare(pa, pb), nil
-}
-
-func (s *Store) countDiff() {
-	s.diffs.Add(1)
 	s.tm.Diffs.Inc()
+	return diff.Compare(pa, pb), nil
 }
 
 // domainLabel spells the default domain's canonical empty string as its
@@ -946,21 +916,23 @@ func domainLabel(id string) string {
 	return id
 }
 
-// Stats snapshots the store counters.
+// Stats snapshots the store counters from its metric instruments.
 func (s *Store) Stats() Stats {
+	n := func(c *telemetry.Counter) uint64 { return uint64(c.Value()) }
+	hits := s.tm.CacheHits
 	return Stats{
-		MemHits:      s.memHits.Load(),
-		DiskHits:     s.diskHits.Load(),
-		Misses:       s.misses.Load(),
-		Coalesced:    s.coalesced.Load(),
-		Extractions:  s.extractions.Load(),
-		CorruptBlobs: s.corruptBlobs.Load(),
-		Bundles:      s.bundles.Load(),
-		Diffs:        s.diffs.Load(),
-		ReportHits:   s.reportHits.Load(),
-		Evictions:    s.evictions.Load(),
-		BackendHits:  s.backendHits.Load(),
-		Decodes:      s.decodes.Load(),
+		MemHits:      n(hits.With("mem")),
+		DiskHits:     n(hits.With("disk")),
+		Misses:       n(s.tm.CacheMisses),
+		Coalesced:    n(s.tm.Coalesced),
+		Extractions:  n(s.tm.Extractions),
+		CorruptBlobs: n(s.tm.CorruptBlobs),
+		Bundles:      n(s.tm.Bundles),
+		Diffs:        n(s.tm.Diffs),
+		ReportHits:   n(s.tm.ReportHits),
+		Evictions:    n(s.tm.Evictions),
+		BackendHits:  n(hits.With("backend")),
+		Decodes:      n(s.tm.Decodes),
 	}
 }
 

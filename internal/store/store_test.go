@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"sync"
@@ -65,6 +66,10 @@ public class Store {
 
 func testSources() map[string]string {
 	return map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJ}
+}
+
+func v2Sources() map[string]string {
+	return map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}
 }
 
 func openTestStore(t *testing.T, dir string) *Store {
@@ -274,7 +279,7 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 	if fpA == fpB {
 		t.Fatal("distinct bundles collided")
 	}
-	rep, err := s.Diff(fpA, fpB)
+	rep, err := s.DiffContext(context.Background(), fpA, fpB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +438,8 @@ func TestCoalescedWaiterCancellation(t *testing.T) {
 }
 
 // A store opened with a registry reports its cache, extraction, and
-// per-mode analysis series on the shared scrape surface.
+// per-mode analysis series on the shared scrape surface, and Stats reads
+// the same counts.
 func TestStoreMetrics(t *testing.T) {
 	reg := telemetry.New()
 	s, err := Open(Config{Dir: t.TempDir(), Parallel: 1, CacheEntries: 1, Registry: reg})
@@ -448,7 +454,7 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Diff(fpA, fpB); err != nil {
+	if _, err := s.DiffContext(context.Background(), fpA, fpB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Policies(fpA); err != nil { // evicted by fpB: disk hit
@@ -479,6 +485,39 @@ func TestStoreMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape misses %q", want)
+		}
+	}
+
+	// A memory hit, and a report miss then hit.
+	if _, err := s.Policies(fpA); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.DiffWire(context.Background(), fpA, fpA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.MemHits == 0 || st.ReportHits != 1 {
+		t.Fatalf("the extra reads missed their counters: %+v", st)
+	}
+	text = reg.Text()
+	for series, n := range map[string]uint64{
+		`polorad_store_cache_hits_total{tier="mem"}`:     st.MemHits,
+		`polorad_store_cache_hits_total{tier="disk"}`:    st.DiskHits,
+		`polorad_store_cache_hits_total{tier="backend"}`: st.BackendHits,
+		"polorad_store_cache_misses_total":               st.Misses,
+		"polorad_store_coalesced_requests_total":         st.Coalesced,
+		"polorad_store_extractions_total":                st.Extractions,
+		"polorad_store_corrupt_blobs_total":              st.CorruptBlobs,
+		"polorad_store_bundles_created_total":            st.Bundles,
+		"polorad_store_diffs_total":                      st.Diffs,
+		"polorad_store_report_hits_total":                st.ReportHits,
+		"polorad_store_cache_evictions_total":            st.Evictions,
+		"polorad_store_policy_decodes_total":             st.Decodes,
+	} {
+		if want := fmt.Sprintf("\n%s %d\n", series, n); !strings.Contains(text, want) {
+			t.Errorf("Stats has %s %d, which the scrape does not show", series, n)
 		}
 	}
 }

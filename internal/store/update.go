@@ -55,7 +55,7 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 	res := &UpdateResult{Fingerprint: fp, Created: created}
 	if ref, ok := s.readBlob(fp, true); ok {
 		// Content already extracted: nothing to re-analyze.
-		if pp, err := s.setOf(fp, ref); err == nil {
+		if pp, err := s.decode(ref.blob); err == nil {
 			res.Entries = len(pp.Entries)
 			res.Reused = res.Entries
 			return res, nil
@@ -95,21 +95,19 @@ func (s *Store) nameLock(name string) *sync.Mutex {
 // loadIncrementalSeed reconstructs the previous extraction (policies +
 // hashes + dependency sets) from a fingerprint's persisted blob and
 // sidecar. Nil when either is missing or corrupt — the update then falls
-// back to a full extraction. The blob must verify against its digest: an
+// back to a full extraction. Both must verify against their digests: an
 // incremental extraction copies the policies of every entry it does not
-// re-analyze, so a seed that merely decodes could carry a corrupted
-// policy into the new revision. A blob written without a digest never
-// seeds.
-//
-// The sidecar keeps decode-only checking, because it only decides what
-// to re-analyze: a method name or hash that no longer matches reads as a
-// changed method, an entry key that no longer matches leaves its entry
-// without dependencies, which is never spliced, and a changed option key
-// forces a full extraction. The exception, a dependency name flipped
-// onto another method's, is in DESIGN ("Digests").
+// re-analyze from the seed blob, and it trusts the sidecar's dependency
+// sets to say which entries a change reaches, so a seed that merely
+// decodes could carry a stale or corrupted policy into the new revision.
+// A blob or sidecar written without a digest never seeds.
 func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 	side, err := os.ReadFile(s.depsPath(prevFP))
 	if err != nil {
+		return nil
+	}
+	if _, err := verify(side, s.depsDigestPath(prevFP)); err != nil {
+		s.log.Warn("store: unverified incremental sidecar", "fingerprint", prevFP, "err", err)
 		return nil
 	}
 	snap, err := oracle.DecodeSnapshot(side)

@@ -93,9 +93,9 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 }
 
 // When an in-flight result and a caller's cancellation race, the result
-// wins: wrappers on context.Background (Policies, PolicySet, Diff) pin
-// their waiter refcount on this, and a losing context caller must not
-// decrement a refcount the completion path already settled.
+// wins: the Policies wrapper on context.Background pins its waiter
+// refcount on this, and a losing context caller must not decrement a
+// refcount the completion path already settled.
 func TestWaitPrefersCompletedResult(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	c := &flightCall{done: make(chan struct{}), cancel: func() {}, waiters: 1}
@@ -548,11 +548,12 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 
 // BenchmarkStoreUpdate measures one PUT of a single-step metamorphic
 // edit of the gen.Small jdk, seeded from the unedited revision: load,
-// hash, incremental extraction and the fsync'd writes of the bundle,
-// digest, blob, sidecar and name index. Between iterations, with the timer
-// stopped, the edit's files are removed, the name index is pointed back
-// at the unedited revision and the process-wide summary cache is
-// emptied, so every iteration re-analyzes what the first one did.
+// hash, incremental extraction and the fsync'd writes of the bundle, the
+// blob and the sidecar, each after its digest, and the name index.
+// Between iterations, with the timer stopped, the edit's files are
+// removed, the name index is pointed back at the unedited revision and
+// the process-wide summary cache is emptied, so every iteration
+// re-analyzes what the first one did.
 func BenchmarkStoreUpdate(b *testing.B) {
 	s, err := Open(Config{Dir: b.TempDir(), Parallel: 1})
 	if err != nil {
@@ -585,7 +586,7 @@ func BenchmarkStoreUpdate(b *testing.B) {
 			b.Fatalf("update was not a seeded extraction of new content: %+v", res)
 		}
 		b.StopTimer()
-		for _, path := range []string{s.bundlePath(res.Fingerprint), s.policyPath(res.Fingerprint), s.digestPath(res.Fingerprint), s.depsPath(res.Fingerprint)} {
+		for _, path := range []string{s.bundlePath(res.Fingerprint), s.policyPath(res.Fingerprint), s.digestPath(res.Fingerprint), s.depsPath(res.Fingerprint), s.depsDigestPath(res.Fingerprint)} {
 			if err := os.Remove(path); err != nil {
 				b.Fatal(err)
 			}

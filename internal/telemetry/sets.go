@@ -73,8 +73,8 @@ type StoreMetrics struct {
 	// CorruptBlobs counts blobs that failed their check (a persisted
 	// blob's digest, or the decode of a backend or digest-less blob).
 	CorruptBlobs *Counter
-	// Decodes counts policy-blob imports the store ran:
-	// polorad_store_policy_decodes_total.
+	// Decodes counts policy-blob imports the store ran, two for each diff
+	// it computed: polorad_store_policy_decodes_total.
 	Decodes *Counter
 	// Bundles counts newly created bundle uploads; Diffs counts diff
 	// reports served, and ReportHits those served from the report cache:
@@ -110,7 +110,7 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 		CorruptBlobs: r.Counter("polorad_store_corrupt_blobs_total",
 			"Policy blobs that failed their digest or decode check."),
 		Decodes: r.Counter("polorad_store_policy_decodes_total",
-			"Policy blobs decoded, to serve a reader without a cached set or to check a blob that has no local digest."),
+			"Policy blobs decoded, to compute a diff, to count an already-extracted upload's entries, or to check a blob that has no local digest."),
 		Bundles: r.Counter("polorad_store_bundles_created_total",
 			"Newly created bundle uploads."),
 		Diffs: r.Counter("polorad_store_diffs_total",
