@@ -147,14 +147,12 @@ func BenchmarkBroadEvents(b *testing.B) {
 }
 
 // BenchmarkExtractParallel measures full MAY+MUST extraction of one
-// implementation across worker counts — the workload behind the
-// BENCH_extract.json trajectory. The library is loaded once outside the
-// timed loop so the numbers describe extraction itself (the frontend has
-// its own BenchmarkFrontend); each iteration re-runs the complete
-// MAY+MUST analysis and republishes the policies. The entries/s metric
-// counts per-mode entry-point analyses per second (2 modes × entry
-// points × iterations / wall), the throughput unit the CI regression
-// gate tracks.
+// implementation across worker counts. The library is loaded once
+// outside the timed loop so the numbers describe extraction itself (the
+// frontend has its own BenchmarkFrontend); each iteration re-runs the
+// complete MAY+MUST analysis and republishes the policies. The entries/s
+// metric counts per-mode entry-point analyses per second (2 modes ×
+// entry points × iterations / wall).
 //
 // On a multi-core machine the 4- and 8-worker variants should show the
 // near-linear speedup of the entry-point fan-out; on a single core all

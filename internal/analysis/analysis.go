@@ -280,9 +280,6 @@ func (a *Analyzer) Stats() Stats {
 	}
 }
 
-// Resolver exposes the analyzer's call-site resolver.
-func (a *Analyzer) Resolver() *callgraph.Resolver { return a.res }
-
 // OriginRec records that a check is invoked in a method's body. With
 // Config.CollectGuards, Guards lists the source positions of the branch
 // conditions that dominate the check (empty for unconditional checks).
@@ -539,21 +536,6 @@ func (r *EntryResult) addEvent(ev secmodel.Event, st state, mode Mode) {
 		er.Paths = er.Paths.Join(st.paths)
 	}
 	er.Occurrences++
-}
-
-// SortedEvents returns the entry's events in deterministic order.
-func (r *EntryResult) SortedEvents() []secmodel.Event {
-	out := make([]secmodel.Event, 0, len(r.Events))
-	for ev := range r.Events {
-		out = append(out, ev)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -104,9 +104,18 @@ func eventResult(t testing.TB, r *EntryResult, ev secmodel.Event) *EventResult {
 	t.Helper()
 	er := r.Events[ev]
 	if er == nil {
-		t.Fatalf("event %s missing from %s; have %v", ev, r.Entry, r.SortedEvents())
+		t.Fatalf("event %s missing from %s; have %v", ev, r.Entry, eventsOf(r))
 	}
 	return er
+}
+
+// eventsOf lists r's events, for failure messages.
+func eventsOf(r *EntryResult) []secmodel.Event {
+	var out []secmodel.Event
+	for e := range r.Events {
+		out = append(out, e)
+	}
+	return out
 }
 
 const simpleSrc = `

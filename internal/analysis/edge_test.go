@@ -261,8 +261,12 @@ public class Many {
 	if nat.Checks != want {
 		t.Errorf("may = %s", nat.Checks.StringIn(secmodel.SecurityManager()))
 	}
-	if nat.Paths.Union() != want {
-		t.Errorf("paths union = %s, want %s", nat.Paths.Union().StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
+	var union policy.CheckSet
+	for _, s := range nat.Paths.Sets {
+		union = union.Union(s)
+	}
+	if union != want {
+		t.Errorf("paths union = %s, want %s", union.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
 	}
 }
 

@@ -125,7 +125,7 @@ func TestMemoNotPollutedByRecursionCutoff(t *testing.T) {
 		}
 		if len(g.Events) != len(w.Events) {
 			t.Errorf("%s: MemoGlobal has %d events (%v), MemoNone has %d (%v)",
-				sig, len(g.Events), g.SortedEvents(), len(w.Events), w.SortedEvents())
+				sig, len(g.Events), eventsOf(g), len(w.Events), eventsOf(w))
 		}
 		for ev, wer := range w.Events {
 			ger := g.Events[ev]

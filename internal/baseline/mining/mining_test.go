@@ -133,8 +133,9 @@ func TestMinedRulesNameChecksInPoliciesDomain(t *testing.T) {
 	opts.Domain = secmodel.CryptoAPI()
 	l.Extract(opts)
 	crypto := map[string]bool{}
-	for _, name := range secmodel.CryptoAPI().AllCheckNames() {
-		crypto[name] = true
+	dom := secmodel.CryptoAPI()
+	for i := 0; i < dom.NumChecks(); i++ {
+		crypto[dom.CheckName(secmodel.CheckID(i))] = true
 	}
 	implies := 0
 	for _, r := range mustNew(t, l.Policies, Config{MinSupport: 1, MinConfidence: 0.1}).Mine() {

@@ -39,9 +39,6 @@ type Client struct {
 	// Backoff is the initial retry delay, doubled per retry
 	// (<= 0 means 200ms).
 	Backoff time.Duration
-	// MaxItems caps items per request, matching the server's documented
-	// cap (<= 0 means DefaultMaxItems; larger workloads are chunked).
-	MaxItems int
 	// HTTP is the client used for requests; nil uses a default with a
 	// 5-minute timeout (a batch may extract many blobs on demand).
 	HTTP *http.Client
@@ -75,10 +72,6 @@ func (c *Client) Run(ctx context.Context, items []Item) ([]ItemResult, error) {
 	if workers <= 0 {
 		workers = 4
 	}
-	maxItems := c.MaxItems
-	if maxItems <= 0 {
-		maxItems = DefaultMaxItems
-	}
 
 	results := make([]ItemResult, len(items))
 	filled := make([]bool, len(items))
@@ -109,9 +102,9 @@ func (c *Client) Run(ctx context.Context, items []Item) ([]ItemResult, error) {
 		}
 		var chunks []chunk
 		for member, idxs := range byOwner {
-			for len(idxs) > maxItems {
-				chunks = append(chunks, chunk{member, idxs[:maxItems]})
-				idxs = idxs[maxItems:]
+			for len(idxs) > DefaultMaxItems {
+				chunks = append(chunks, chunk{member, idxs[:DefaultMaxItems]})
+				idxs = idxs[DefaultMaxItems:]
 			}
 			chunks = append(chunks, chunk{member, idxs})
 		}

@@ -85,16 +85,6 @@ func (s Set) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no elements.
-func (s Set) Empty() bool {
-	for _, word := range s {
-		if word != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and t contain the same elements, ignoring
 // trailing zero words.
 func (s Set) Equal(t Set) bool {
@@ -141,10 +131,4 @@ func (s Set) ForEach(f func(i int)) {
 			word &= word - 1
 		}
 	}
-}
-
-// AppendTo appends the elements in ascending order to dst.
-func (s Set) AppendTo(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }

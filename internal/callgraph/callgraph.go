@@ -9,7 +9,6 @@
 package callgraph
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"policyoracle/internal/ast"
@@ -177,73 +176,4 @@ func dispatch(rc *types.Class, decl *types.Method) *types.Method {
 		}
 	}
 	return nil
-}
-
-// Graph is a call graph rooted at a set of methods.
-type Graph struct {
-	// Callees maps each method to its resolved callees (deduplicated,
-	// deterministic order).
-	Callees map[*types.Method][]*types.Method
-	// Roots are the graph's entry points.
-	Roots []*types.Method
-}
-
-// Build constructs the call graph reachable from roots.
-func Build(p *ir.Program, r *Resolver, roots []*types.Method) *Graph {
-	g := &Graph{Callees: make(map[*types.Method][]*types.Method), Roots: roots}
-	var visit func(m *types.Method)
-	visit = func(m *types.Method) {
-		if _, done := g.Callees[m]; done {
-			return
-		}
-		g.Callees[m] = nil // mark before recursing
-		f := p.FuncOf(m)
-		if f == nil {
-			return
-		}
-		seen := map[*types.Method]bool{}
-		var callees []*types.Method
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				c, ok := in.(*ir.Call)
-				if !ok {
-					continue
-				}
-				t := r.ResolveQuiet(c)
-				if t == nil || seen[t] {
-					continue
-				}
-				seen[t] = true
-				callees = append(callees, t)
-			}
-		}
-		sort.Slice(callees, func(i, j int) bool { return callees[i].ID < callees[j].ID })
-		g.Callees[m] = callees
-		for _, t := range callees {
-			visit(t)
-		}
-	}
-	for _, m := range roots {
-		visit(m)
-	}
-	return g
-}
-
-// Reachable returns all methods in the graph, sorted by ID.
-func (g *Graph) Reachable() []*types.Method {
-	out := make([]*types.Method, 0, len(g.Callees))
-	for m := range g.Callees {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Size returns the number of reachable methods and call edges.
-func (g *Graph) Size() (methods, edges int) {
-	methods = len(g.Callees)
-	for _, cs := range g.Callees {
-		edges += len(cs)
-	}
-	return methods, edges
 }

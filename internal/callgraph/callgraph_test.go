@@ -188,38 +188,6 @@ func TestResolveOn(t *testing.T) {
 	}
 }
 
-func TestGraphBuild(t *testing.T) {
-	p, r := build(t, `
-package p;
-public class A {
-  public void entry() { helper(); helper(); Other.util(); }
-  void helper() { leaf(); }
-  void leaf() { }
-}
-public class Other {
-  static void util() { }
-  static void unreached() { }
-}
-`)
-	var roots []*types.Method
-	for _, m := range p.Types.EntryPoints() {
-		roots = append(roots, m)
-	}
-	g := Build(p, r, roots)
-	methods, edges := g.Size()
-	if methods != 4 { // entry, helper, leaf, util — not unreached
-		t.Errorf("methods = %d (%v)", methods, g.Reachable())
-	}
-	if edges != 3 { // entry->helper (dedup), entry->util, helper->leaf
-		t.Errorf("edges = %d", edges)
-	}
-	for _, m := range g.Reachable() {
-		if m.Name == "unreached" {
-			t.Error("unreached method in graph")
-		}
-	}
-}
-
 func TestResolutionRateEmpty(t *testing.T) {
 	_, r := build(t, `package p; public class C { public void m() { } }`)
 	if rate := r.ResolutionRate(); rate != 1 {

@@ -239,9 +239,6 @@ func NewEngine(name string, sources map[string]string, opts Options) (*Engine, e
 	}, nil
 }
 
-// Options returns the engine's resolved options.
-func (e *Engine) Options() Options { return e.opts }
-
 // Shards returns the campaign's shard count.
 func (e *Engine) Shards() int {
 	return (e.opts.Rounds + e.opts.ShardRounds - 1) / e.opts.ShardRounds

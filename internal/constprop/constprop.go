@@ -158,9 +158,6 @@ type Result struct {
 	argOff   int
 }
 
-// BlockLive reports whether b is reachable under the parameter binding.
-func (r *Result) BlockLive(b *ir.Block) bool { return r.blockLive[b.Index] }
-
 // EdgeFeasible reports whether the i'th successor edge of b can execute.
 func (r *Result) EdgeFeasible(b *ir.Block, i int) bool {
 	return r.edgeLive[r.succOff[b.Index]+i]

@@ -35,7 +35,7 @@ func lowerFunc(t testing.TB, body string, params string) *ir.Func {
 func liveCount(f *ir.Func, r *Result) int {
 	n := 0
 	for _, b := range f.Blocks {
-		if r.BlockLive(b) {
+		if r.blockLive[b.Index] {
 			n++
 		}
 	}

@@ -33,7 +33,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 			meet = intersect
 		}
 		warm := s.Solve(genProblem(blocks, meet, 0))
-		fresh := Solve(genProblem(blocks, meet, 0))
+		fresh := new(Solver[uint64]).Solve(genProblem(blocks, meet, 0))
 		for b := range blocks {
 			if warm.In[b] != fresh.In[b] || warm.Out[b] != fresh.Out[b] || warm.Reached[b] != fresh.Reached[b] {
 				t.Fatalf("solve %d: warm and fresh disagree at block %d", i, b)
@@ -62,7 +62,7 @@ func BenchmarkSolverFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Solve(p)
+		new(Solver[uint64]).Solve(p)
 	}
 }
 

@@ -147,12 +147,3 @@ func (s *Solver[T]) Solve(p *Problem[T]) *Solution[T] {
 	s.worklist = worklist[:0]
 	return sol
 }
-
-// Solve runs the worklist algorithm to a fixed point with fresh buffers.
-// The returned Solution is independently owned by the caller. Long-lived
-// analyses should prefer a reused Solver.
-func Solve[T any](p *Problem[T]) *Solution[T] {
-	var s Solver[T]
-	sol := s.Solve(p)
-	return &Solution[T]{In: sol.In, Out: sol.Out, Reached: sol.Reached}
-}

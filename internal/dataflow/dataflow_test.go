@@ -43,11 +43,11 @@ func TestDiamondMayMust(t *testing.T) {
 	// 0 -> 1, 2; 1 -> 3; 2 -> 3
 	blocks := graph([][]int{{1, 2}, {3}, {3}, {}})
 
-	may := Solve(genProblem(blocks, union, 0))
+	may := new(Solver[uint64]).Solve(genProblem(blocks, union, 0))
 	if may.In[3] != 0b0111 {
 		t.Errorf("may IN(3) = %b", may.In[3])
 	}
-	must := Solve(genProblem(blocks, intersect, 0))
+	must := new(Solver[uint64]).Solve(genProblem(blocks, intersect, 0))
 	// Only block 0's bit survives the intersection at the join.
 	if must.In[3] != 0b0001 {
 		t.Errorf("must IN(3) = %b", must.In[3])
@@ -57,11 +57,11 @@ func TestDiamondMayMust(t *testing.T) {
 func TestLoopConverges(t *testing.T) {
 	// 0 -> 1; 1 -> 2, 3; 2 -> 1 (back edge); 3 exit
 	blocks := graph([][]int{{1}, {2, 3}, {1}, {}})
-	may := Solve(genProblem(blocks, union, 0))
+	may := new(Solver[uint64]).Solve(genProblem(blocks, union, 0))
 	if may.In[3] != 0b0111 {
 		t.Errorf("may IN(3) = %b", may.In[3])
 	}
-	must := Solve(genProblem(blocks, intersect, 0))
+	must := new(Solver[uint64]).Solve(genProblem(blocks, intersect, 0))
 	// The loop may be skipped... it cannot: 1 is on every path. 2 may be.
 	if must.In[3]&0b0010 == 0 || must.In[3]&0b0100 != 0 {
 		t.Errorf("must IN(3) = %b", must.In[3])
@@ -71,7 +71,7 @@ func TestLoopConverges(t *testing.T) {
 func TestUnreachableBlocks(t *testing.T) {
 	// Block 2 has no in-edges.
 	blocks := graph([][]int{{1}, {}, {1}})
-	sol := Solve(genProblem(blocks, union, 0))
+	sol := new(Solver[uint64]).Solve(genProblem(blocks, union, 0))
 	if sol.Reached[2] {
 		t.Error("unreachable block marked reached")
 	}
@@ -91,7 +91,7 @@ func TestInfeasibleEdges(t *testing.T) {
 	p.EdgeFeasible = func(b *ir.Block, i int) bool {
 		return !(b.Index == 0 && i == 1)
 	}
-	sol := Solve(p)
+	sol := new(Solver[uint64]).Solve(p)
 	if sol.Reached[2] {
 		t.Error("block behind infeasible edge reached")
 	}
@@ -103,14 +103,14 @@ func TestInfeasibleEdges(t *testing.T) {
 
 func TestEntryIn(t *testing.T) {
 	blocks := graph([][]int{{1}, {}})
-	sol := Solve(genProblem(blocks, union, 0b1000000))
+	sol := new(Solver[uint64]).Solve(genProblem(blocks, union, 0b1000000))
 	if sol.In[1]&0b1000000 == 0 {
 		t.Errorf("entry seed lost: IN(1) = %b", sol.In[1])
 	}
 }
 
 func TestEmptyFunction(t *testing.T) {
-	sol := Solve(genProblem(nil, union, 0))
+	sol := new(Solver[uint64]).Solve(genProblem(nil, union, 0))
 	if len(sol.In) != 0 {
 		t.Error("non-empty solution for empty graph")
 	}
@@ -132,7 +132,7 @@ func TestRandomDAGFixedPoint(t *testing.T) {
 		}
 		blocks := graph(adj)
 		for _, meet := range []func(a, b uint64) uint64{union, intersect} {
-			sol := Solve(genProblem(blocks, meet, 0))
+			sol := new(Solver[uint64]).Solve(genProblem(blocks, meet, 0))
 			for _, b := range blocks {
 				if !sol.Reached[b.Index] {
 					continue

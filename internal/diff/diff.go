@@ -135,17 +135,6 @@ func (r *Report) TotalManifestations() int {
 	return n
 }
 
-// GroupsByCategory returns the groups in the given category.
-func (r *Report) GroupsByCategory(c Category) []*Group {
-	var out []*Group
-	for _, g := range r.Groups {
-		if g.Category == c {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Compare differences the policies of two implementations of one API.
 // Both sides must carry policies of the same check domain — oracle.Diff
 // and the store enforce that with typed errors before calling here — and

@@ -117,7 +117,7 @@ func TestLoweringDiagnostics(t *testing.T) {
 		files := []*ast.File{parser.ParseFile("t.mj", src, &diags)}
 		tp := types.Build("t", files, &diags)
 		LowerProgram(tp, &diags)
-		if diags.Len() == 0 {
+		if len(diags.All()) == 0 {
 			t.Errorf("no diagnostic for %q", src)
 		}
 	}

@@ -56,21 +56,6 @@ func (ds *Diagnostics) Warnf(pos Pos, format string, args ...any) {
 	ds.list = append(ds.list, Diagnostic{Pos: pos, Severity: Warning, Message: fmt.Sprintf(format, args...)})
 }
 
-// Notef records a note diagnostic at pos.
-func (ds *Diagnostics) Notef(pos Pos, format string, args ...any) {
-	ds.list = append(ds.list, Diagnostic{Pos: pos, Severity: Note, Message: fmt.Sprintf(format, args...)})
-}
-
-// Add appends d verbatim.
-func (ds *Diagnostics) Add(d Diagnostic) { ds.list = append(ds.list, d) }
-
-// Merge appends all diagnostics from other.
-func (ds *Diagnostics) Merge(other *Diagnostics) {
-	if other != nil {
-		ds.list = append(ds.list, other.list...)
-	}
-}
-
 // All returns the recorded diagnostics in source order (stable for equal
 // positions).
 func (ds *Diagnostics) All() []Diagnostic {
@@ -89,9 +74,6 @@ func (ds *Diagnostics) HasErrors() bool {
 	}
 	return false
 }
-
-// Len returns the number of recorded diagnostics.
-func (ds *Diagnostics) Len() int { return len(ds.list) }
 
 // Err returns an error summarizing all Error diagnostics, or nil.
 func (ds *Diagnostics) Err() error {

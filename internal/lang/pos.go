@@ -47,6 +47,3 @@ type Span struct {
 
 // String renders the span's start position.
 func (s Span) String() string { return s.Start.String() }
-
-// SpanOf builds a Span from two positions.
-func SpanOf(start, end Pos) Span { return Span{Start: start, End: end} }

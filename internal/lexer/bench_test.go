@@ -45,8 +45,8 @@ func TestTokenizeCommentAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	toks := lexer.Tokenize("c.mj", src, &diags)
 	runtime.ReadMemStats(&after)
-	if len(toks) != 1 || toks[0].Kind != token.EOF || diags.Len() != 0 {
-		t.Fatalf("got %d tokens, %d diagnostics; want only EOF", len(toks), diags.Len())
+	if len(toks) != 1 || toks[0].Kind != token.EOF || len(diags.All()) != 0 {
+		t.Fatalf("got %d tokens, %d diagnostics; want only EOF", len(toks), len(diags.All()))
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Errorf("tokenizing a %d-byte comment allocated %d bytes, want < 64 KiB", len(src), got)

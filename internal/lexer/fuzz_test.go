@@ -57,9 +57,9 @@ func FuzzLexer(f *testing.F) {
 		}
 		var d2 lang.Diagnostics
 		again := lexer.Tokenize("fuzz.mj", src, &d2)
-		if len(again) != len(toks) || d2.Len() != d.Len() {
+		if len(again) != len(toks) || len(d2.All()) != len(d.All()) {
 			t.Fatalf("nondeterministic scan: %d/%d tokens, %d/%d diagnostics",
-				len(toks), len(again), d.Len(), d2.Len())
+				len(toks), len(again), len(d.All()), len(d2.All()))
 		}
 	})
 }

@@ -147,16 +147,6 @@ func (c *SummaryCache) insert(optsKey, sig string, deps []string, hashes map[str
 	c.entries[cacheKey{opts: optsKey, sig: sig}] = &cachedEntry{pins: pins, deps: deps, ep: ep}
 }
 
-// Len returns the number of cached entries.
-func (c *SummaryCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
 // Stats returns the cumulative hit and miss counts.
 func (c *SummaryCache) Stats() (hits, misses uint64) {
 	if c == nil {

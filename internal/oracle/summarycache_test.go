@@ -33,7 +33,7 @@ func TestSummaryCacheByteIdentity(t *testing.T) {
 	if hits != 0 || misses == 0 {
 		t.Errorf("cold stats: hits=%d misses=%d", hits, misses)
 	}
-	if cache.Len() == 0 {
+	if cachedEntries(cache) == 0 {
 		t.Error("cold extraction populated nothing")
 	}
 
@@ -132,7 +132,14 @@ func TestSummaryCacheEviction(t *testing.T) {
 	opts.Summaries = cache
 	l := loadTestLib(t, "a", map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJ})
 	l.Extract(opts)
-	if n := cache.Len(); n > 2+1 {
+	if n := cachedEntries(cache); n > 2+1 {
 		t.Errorf("cache grew past cap: %d entries", n)
 	}
+}
+
+// cachedEntries reports how many entries c holds.
+func cachedEntries(c *SummaryCache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
 }

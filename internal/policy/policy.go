@@ -223,15 +223,6 @@ func (p PathSets) Equal(q PathSets) bool {
 	return true
 }
 
-// Union returns the flat union of all alternatives.
-func (p PathSets) Union() CheckSet {
-	var u CheckSet
-	for _, s := range p.Sets {
-		u = u.Union(s)
-	}
-	return u
-}
-
 // StringIn renders the alternatives as {{...}, {...}} with check names
 // resolved in domain d.
 func (p PathSets) StringIn(d *secmodel.Domain) string {

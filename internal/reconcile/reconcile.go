@@ -21,7 +21,6 @@
 package reconcile
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -33,8 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"policyoracle/internal/diff"
-	"policyoracle/internal/oracle"
 	"policyoracle/internal/store"
 	"policyoracle/internal/telemetry"
 )
@@ -57,11 +54,6 @@ type Config struct {
 	// 64). Beyond the cap an enqueue only wakes the loop — correct either
 	// way, because the plan step rescans the whole registry.
 	QueueCap int
-	// Verify re-extracts both sides from scratch on every apply and
-	// fails the pair if the reconciled diff is not byte-identical to the
-	// cold one. Meant for tests and soak runs; it defeats the point of
-	// incremental extraction in production.
-	Verify bool
 	// Registry receives the controller's metrics (nil disables them).
 	Registry *telemetry.Registry
 	// Logger receives structured reconcile events (nil discards them).
@@ -273,11 +265,6 @@ func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error
 	if err != nil {
 		return err
 	}
-	if c.cfg.Verify {
-		if err := c.verifyCold(ctx, fa, fb, wire); err != nil {
-			return err
-		}
-	}
 
 	keys := make([]string, 0, len(rep.Groups))
 	for _, g := range rep.Groups {
@@ -332,43 +319,6 @@ func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error
 	if e.Alert != "" {
 		c.log.Warn("reconcile: drift alert "+e.Alert, "pair", pair,
 			"deviations", e.Deviations, "threshold", c.cfg.AlertThreshold)
-	}
-	return nil
-}
-
-// verifyCold asserts the reconciled diff bytes equal a from-scratch
-// Compare of the same two bundles: fresh libraries, no incremental seed,
-// no summary cache.
-func (c *Controller) verifyCold(ctx context.Context, fa, fb string, got []byte) error {
-	pols := make([]*oracle.Library, 2)
-	for i, fp := range []string{fa, fb} {
-		b, err := c.st.Bundle(fp)
-		if err != nil {
-			return err
-		}
-		opts, err := b.Options.ToOracle()
-		if err != nil {
-			return err
-		}
-		// Mirror the store's server-side extraction: display data is never
-		// collected, so the option key matches the persisted blobs.
-		opts.CollectPaths, opts.CollectGuards = false, false
-		lib, err := oracle.LoadLibrary(b.Name, b.Sources)
-		if err != nil {
-			return err
-		}
-		if err := lib.ExtractContext(ctx, opts); err != nil {
-			return err
-		}
-		pols[i] = lib
-	}
-	rep := diff.Compare(pols[0].Policies, pols[1].Policies)
-	want, err := rep.EncodeJSON()
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("reconciled diff differs from cold Compare (%d vs %d bytes)", len(got), len(want))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package reconcile
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"policyoracle/internal/oracle"
 	"policyoracle/internal/store"
 	"policyoracle/internal/telemetry"
 )
@@ -78,8 +80,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 func newController(t *testing.T, s *store.Store, path string, reg *telemetry.Registry, threshold int) *Controller {
 	t.Helper()
 	c, err := New(Config{
-		Store: s, Path: path, AlertThreshold: threshold,
-		Verify: true, Registry: reg,
+		Store: s, Path: path, AlertThreshold: threshold, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +88,62 @@ func newController(t *testing.T, s *store.Store, path string, reg *telemetry.Reg
 	return c
 }
 
+// checkCold asserts that the report c serves for every pair it has
+// observed is byte-identical to a cold diff of the pair's two bundles.
+func checkCold(t *testing.T, c *Controller, s *store.Store) {
+	t.Helper()
+	ctx := context.Background()
+	for _, p := range c.Pairs() {
+		st, err := c.Pair(ctx, p.Pair)
+		if err != nil {
+			t.Errorf("pair %s: %v", p.Pair, err)
+			continue
+		}
+		if want := coldDiff(t, s, st.FpA, st.FpB); !bytes.Equal(st.Report, want) {
+			t.Errorf("pair %s: reconciled diff differs from cold Compare (%d vs %d bytes)",
+				p.Pair, len(st.Report), len(want))
+		}
+	}
+}
+
+// coldDiff extracts the bundles fa and fb from scratch (fresh libraries,
+// no incremental seed, no summary cache) and returns their diff's wire
+// bytes.
+func coldDiff(t *testing.T, s *store.Store, fa, fb string) []byte {
+	t.Helper()
+	libs := make([]*oracle.Library, 2)
+	for i, fp := range []string{fa, fb} {
+		b, err := s.Bundle(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := b.Options.ToOracle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Mirror the store's server-side extraction: display data is never
+		// collected, so the option key matches the persisted blobs.
+		opts.CollectPaths, opts.CollectGuards = false, false
+		if libs[i], err = oracle.LoadLibrary(b.Name, b.Sources); err != nil {
+			t.Fatal(err)
+		}
+		libs[i].Extract(opts)
+	}
+	rep, err := oracle.Diff(libs[0], libs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := rep.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 // The core drift story: a deviation appears (alert fires), the reconciled
-// diff is byte-identical to a cold Compare (Verify is on throughout), a
-// restart resumes without duplicating history, and fixing the deviation
-// clears the alert.
+// diff is byte-identical to a cold Compare after every cycle, a restart
+// resumes without duplicating history, and fixing the deviation clears
+// the alert.
 func TestReconcileObservesDriftResumesAndClears(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
@@ -108,6 +161,7 @@ func TestReconcileObservesDriftResumesAndClears(t *testing.T) {
 	if err := c.RunOnce(ctx); err != nil {
 		t.Fatalf("first cycle: %v", err)
 	}
+	checkCold(t, c, s)
 	wire := c.Timeline(0)
 	if len(wire.Entries) != 1 {
 		t.Fatalf("timeline after first cycle = %d entries, want 1", len(wire.Entries))
@@ -140,6 +194,7 @@ func TestReconcileObservesDriftResumesAndClears(t *testing.T) {
 	if err := c.RunOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkCold(t, c, s)
 	if got := len(c.Timeline(0).Entries); got != 1 {
 		t.Fatalf("idle cycle appended: %d entries", got)
 	}
@@ -161,6 +216,7 @@ func TestReconcileObservesDriftResumesAndClears(t *testing.T) {
 	if string(st2.Report) != string(st.Report) {
 		t.Error("report differs across restart")
 	}
+	checkCold(t, c2, s)
 
 	// The deviation is fixed upstream: the next cycle records the
 	// resolution and clears the alert.
@@ -171,6 +227,7 @@ func TestReconcileObservesDriftResumesAndClears(t *testing.T) {
 	if err := c2.RunOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkCold(t, c2, s)
 	wire = c2.Timeline(0)
 	if len(wire.Entries) != 2 {
 		t.Fatalf("timeline after fix = %d entries, want 2", len(wire.Entries))
@@ -235,6 +292,7 @@ func TestReconcileEntryDeletedMidReconcile(t *testing.T) {
 	if _, perr := c.Pair(ctx, PairKey("liba", "libc")); perr == nil {
 		t.Error("deleted pair has an observation")
 	}
+	checkCold(t, c, s)
 	if txt := reg.Text(); !strings.Contains(txt, "polora_reconcile_errors_total 2") {
 		t.Errorf("errors counter:\n%s", grepLine(txt, "polora_reconcile_errors_total"))
 	}
@@ -247,6 +305,7 @@ func TestReconcileEntryDeletedMidReconcile(t *testing.T) {
 	if err := c.RunOnce(ctx); err != nil {
 		t.Fatalf("cycle after re-upload: %v", err)
 	}
+	checkCold(t, c, s)
 	for _, pair := range []string{PairKey("liba", "libc"), PairKey("libb", "libc")} {
 		if _, perr := c.Pair(ctx, pair); perr != nil {
 			t.Errorf("pair %s after heal: %v", pair, perr)

@@ -101,9 +101,6 @@ func hashString(s string) uint64 {
 // Len reports the number of distinct members.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the sorted member set. Callers must not mutate it.
-func (r *Ring) Members() []string { return r.members }
-
 // Owner returns the member that owns key, or "" for an empty ring.
 func (r *Ring) Owner(key string) string {
 	owners := r.ownerIndices(key, 1)

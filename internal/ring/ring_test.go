@@ -37,8 +37,8 @@ func TestNewDeduplicates(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	if got := r.Members(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Members = %v", got)
+	if got := r.members; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("members = %v", got)
 	}
 }
 

@@ -121,9 +121,6 @@ func (d *Domain) GuardClass() string { return d.guardClass }
 // NumChecks returns the size of the domain's check table.
 func (d *Domain) NumChecks() int { return len(d.checks) }
 
-// Checks returns a copy of the check table in CheckID order.
-func (d *Domain) Checks() []CheckDesc { return append([]CheckDesc(nil), d.checks...) }
-
 // CheckName returns the method name of a check ID.
 func (d *Domain) CheckName(id CheckID) string {
 	if int(id) < 0 || int(id) >= len(d.checks) {
@@ -145,20 +142,6 @@ func (d *Domain) CheckArity(id CheckID) int {
 func (d *Domain) CheckByName(name string, arity int) (CheckID, bool) {
 	id, ok := d.index[CheckDesc{name, arity}]
 	return id, ok
-}
-
-// AllCheckNames returns the distinct check method names, sorted.
-func (d *Domain) AllCheckNames() []string {
-	set := map[string]bool{}
-	for _, c := range d.checks {
-		set[c.Name] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CheckSetString renders a bitset of the domain's checks as sorted names.

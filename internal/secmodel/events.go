@@ -80,17 +80,8 @@ func (pe *ProgramEvents) intern(ev Event) EventID {
 	return id
 }
 
-// Len returns the number of interned events.
-func (pe *ProgramEvents) Len() int { return len(pe.events) }
-
 // Event returns the event for an interned id.
 func (pe *ProgramEvents) Event(id EventID) Event { return pe.events[id] }
-
-// ID returns the interned id for ev, if ev belongs to this program.
-func (pe *ProgramEvents) ID(ev Event) (EventID, bool) {
-	id, ok := pe.byEvent[ev]
-	return id, ok
-}
 
 // ReturnID returns the id of the API-return event.
 func (pe *ProgramEvents) ReturnID() EventID { return pe.ret }

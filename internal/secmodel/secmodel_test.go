@@ -28,9 +28,6 @@ func TestCheckTableHas31Entries(t *testing.T) {
 	if len(seen) >= sm.NumChecks() {
 		t.Errorf("expected overloaded names, got %d distinct", len(seen))
 	}
-	if got := len(sm.AllCheckNames()); got != len(seen) {
-		t.Errorf("AllCheckNames = %d, want %d", got, len(seen))
-	}
 }
 
 func TestCheckByName(t *testing.T) {

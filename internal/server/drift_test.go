@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"policyoracle/internal/oracle"
 	"policyoracle/internal/reconcile"
 	"policyoracle/internal/server"
 	"policyoracle/internal/store"
@@ -23,7 +24,7 @@ import (
 
 // startWatchServer wires store + reconcile controller + server exactly
 // as `polorad -watch` does, with the controller loop running.
-func startWatchServer(t *testing.T) (*httptest.Server, *reconcile.Controller) {
+func startWatchServer(t *testing.T) (*httptest.Server, *reconcile.Controller, *store.Store) {
 	t.Helper()
 	dir := t.TempDir()
 	reg := telemetry.New()
@@ -33,7 +34,7 @@ func startWatchServer(t *testing.T) (*httptest.Server, *reconcile.Controller) {
 	}
 	c, err := reconcile.New(reconcile.Config{
 		Store: st, Path: filepath.Join(dir, "drift.json"),
-		Interval: time.Hour, AlertThreshold: 1, Verify: true, Registry: reg,
+		Interval: time.Hour, AlertThreshold: 1, Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,52 @@ func startWatchServer(t *testing.T) (*httptest.Server, *reconcile.Controller) {
 	t.Cleanup(func() { cancel(); <-done })
 	ts := httptest.NewServer(server.New(st, server.Options{Registry: reg, Drift: c}))
 	t.Cleanup(ts.Close)
-	return ts, c
+	return ts, c, st
+}
+
+// checkCold asserts that the report c serves for every pair it has
+// observed is byte-identical to a cold diff of the pair's two bundles:
+// fresh libraries, no incremental seed, no summary cache.
+func checkCold(t *testing.T, c *reconcile.Controller, st *store.Store) {
+	t.Helper()
+	ctx := context.Background()
+	for _, p := range c.Pairs() {
+		ps, err := c.Pair(ctx, p.Pair)
+		if err != nil {
+			t.Errorf("pair %s: %v", p.Pair, err)
+			continue
+		}
+		libs := make([]*oracle.Library, 2)
+		for i, fp := range []string{ps.FpA, ps.FpB} {
+			b, err := st.Bundle(fp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts, err := b.Options.ToOracle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The store never collects display data, so the option key
+			// matches the persisted blobs.
+			opts.CollectPaths, opts.CollectGuards = false, false
+			if libs[i], err = oracle.LoadLibrary(b.Name, b.Sources); err != nil {
+				t.Fatal(err)
+			}
+			libs[i].Extract(opts)
+		}
+		rep, err := oracle.Diff(libs[0], libs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rep.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ps.Report, want) {
+			t.Errorf("pair %s: reconciled diff differs from cold Compare (%d vs %d bytes)",
+				p.Pair, len(ps.Report), len(want))
+		}
+	}
 }
 
 func getJSON(t *testing.T, url string, dst any) *http.Response {
@@ -85,7 +131,7 @@ func waitForEntries(t *testing.T, c *reconcile.Controller, n int) reconcile.Time
 // drift observation whose report is byte-identical to POST /v1/diff for
 // the same fingerprints, served by GET /v1/drift/{pair}.
 func TestServerDriftE2E(t *testing.T) {
-	ts, c := startWatchServer(t)
+	ts, c, s := startWatchServer(t)
 
 	v1 := map[string]string{"rt.mj": updateRuntimeMJ, "lib.mj": updateLibV1MJ}
 	v2 := map[string]string{"rt.mj": updateRuntimeMJ, "lib.mj": updateLibV2MJ}
@@ -98,6 +144,7 @@ func TestServerDriftE2E(t *testing.T) {
 		t.Fatalf("PUT impl: %d", resp.StatusCode)
 	}
 	waitForEntries(t, c, 1)
+	checkCold(t, c, s)
 
 	var wire reconcile.TimelineWire
 	if resp := getJSON(t, ts.URL+"/v1/drift", &wire); resp.StatusCode != http.StatusOK {
@@ -159,6 +206,7 @@ func TestServerDriftE2E(t *testing.T) {
 		t.Fatalf("PUT impl v1: %d", resp.StatusCode)
 	}
 	wire = waitForEntries(t, c, 2)
+	checkCold(t, c, s)
 	if last := wire.Entries[len(wire.Entries)-1]; last.Alert != "cleared" || last.Deviations != 0 {
 		t.Errorf("post-fix entry: %+v", last)
 	}
@@ -192,7 +240,7 @@ func TestServerDriftErrors(t *testing.T) {
 	}
 
 	// With watch: malformed pair keys and unknown pairs are typed.
-	wts, _ := startWatchServer(t)
+	wts, _, _ := startWatchServer(t)
 	resp := getJSON(t, wts.URL+"/v1/drift/not-a-pair", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed pair: %d", resp.StatusCode)

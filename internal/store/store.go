@@ -936,13 +936,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// CachedEntries reports the current LRU occupancy.
-func (s *Store) CachedEntries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache.len()
-}
-
 // WriteAtomic replaces path with data via a temp file + fsync + rename +
 // parent-directory fsync. Readers never see a partial file, a crash
 // right after the rename cannot leave an empty or truncated one behind

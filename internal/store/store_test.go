@@ -340,8 +340,11 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	if _, err := s.Policies(fpB); err != nil { // evicts fpA
 		t.Fatal(err)
 	}
-	if got := s.CachedEntries(); got != 1 {
-		t.Errorf("CachedEntries = %d, want 1", got)
+	s.mu.Lock()
+	got := s.cache.len()
+	s.mu.Unlock()
+	if got != 1 {
+		t.Errorf("%d blobs resident, want 1", got)
 	}
 	if _, err := s.Policies(fpA); err != nil {
 		t.Fatal(err)

@@ -46,8 +46,11 @@ func TestCacheDisabled(t *testing.T) {
 	if st.MemHits != 0 || st.DiskHits != 1 || st.Evictions != 0 {
 		t.Errorf("stats with cache disabled: %+v", st)
 	}
-	if n := s.CachedEntries(); n != 0 {
-		t.Errorf("CachedEntries = %d with cache disabled", n)
+	s.mu.Lock()
+	n := s.cache.len()
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d blobs resident with cache disabled", n)
 	}
 }
 

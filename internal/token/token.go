@@ -161,16 +161,6 @@ var Keywords = map[string]Kind{
 	"switch": KwSwitch, "case": KwCase, "default": KwDefault,
 }
 
-// IsModifier reports whether k is a declaration modifier keyword.
-func (k Kind) IsModifier() bool {
-	switch k {
-	case KwPublic, KwProtected, KwPrivate, KwStatic, KwFinal, KwAbstract,
-		KwNative, KwSynchronized, KwTransient, KwVolatile:
-		return true
-	}
-	return false
-}
-
 // IsPrimitiveType reports whether k names a primitive type.
 func (k Kind) IsPrimitiveType() bool {
 	switch k {

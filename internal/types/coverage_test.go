@@ -29,7 +29,7 @@ func TestUnresolvedSuperclassWarns(t *testing.T) {
 	if diags.HasErrors() {
 		t.Error("unresolved superclass should warn, not error")
 	}
-	if diags.Len() == 0 {
+	if len(diags.All()) == 0 {
 		t.Error("no warning for unresolved superclass")
 	}
 }

@@ -264,9 +264,6 @@ func (p *Program) AllClasses() []*Class { return p.sortedClasses() }
 // AllMethods returns every method in the program, indexed by Method.ID.
 func (p *Program) AllMethods() []*Method { return p.methods }
 
-// MethodByID returns the method with the given dense ID.
-func (p *Program) MethodByID(id int) *Method { return p.methods[id] }
-
 func (p *Program) resolveClass(c *Class) {
 	td := c.Decl
 	if td.Extends != "" {
