@@ -1,29 +1,37 @@
 // Package batch defines the wire format of POST /v1/batch: one request
-// carrying a mixed array of extract and diff items, answered as a
-// newline-delimited JSON stream of per-item envelopes in input order.
+// carrying a mixed array of extract and diff items, answered as a stream
+// of per-item frames in input order, with Content-Type ContentType.
 //
-// The payload bytes inside each ItemResult are EXACTLY the single-item
-// wire formats — an extract item carries the bytes `polora export`
-// writes and a diff item the bytes `polora diff -json` prints. They
-// travel base64-encoded (Go's []byte JSON encoding) because embedding
-// them as raw JSON would let the envelope encoder re-compact and
-// HTML-escape them, silently breaking the byte-identity contract the
-// oracle's clients rely on.
+// A frame starts with one JSON header line. A successful item's header
+// is followed by exactly that many raw payload bytes and a newline:
 //
-// The package is shared by the server handler and the CLI batch client
-// so the two cannot drift.
+//	{"index":0,"op":"extract","status":200,"result":N}
+//	<N payload bytes>
 //
-// The server writes each envelope with json.Encoder. The client reads
-// the stream one line at a time into one reused buffer and decodes each
-// line in one pass on a jsonread.Reader, without reflection. It accepts
-// exactly the lines json.Unmarshal would decode into an ItemResult, with
-// the same result, except a line that names a known key twice. An
-// unescaped payload is base64-decoded straight from the line. Framing
-// is NDJSON: one envelope per line, and blank lines are skipped. A line
-// with anything after its envelope, or an envelope spread over several
-// lines, is an error. After the last envelope the client reads the
-// stream to its end, so the connection goes back to the transport's
-// pool and the next request reuses it.
+// The payload is EXACTLY the single-item wire format: an extract item
+// carries the bytes `polora export` writes and a diff item the bytes
+// `polora diff -json` prints. It never passes through a JSON encoder,
+// so nothing can re-compact, escape or re-encode it. A failed item is
+// its header line alone: no result, and an error envelope with the
+// stable code its single-item request would have answered.
+//
+// result holds the payload's length, a number, so readers of the
+// earlier format fail closed: that format carried the payload
+// base64-encoded in result, as a string. An earlier client meets a
+// number where it wants a string and fails with a type error, and this
+// package's reader does the same on an earlier server's string; neither
+// records a status-200 item with an empty payload. A client also
+// refuses a response whose Content-Type is not ContentType. polora and
+// polorad must therefore be upgraded together.
+//
+// The package is shared by the server handler (WriteItem) and the CLI
+// batch client (Reader) so the two cannot drift. The server marshals
+// only the small header and writes the payload bytes after it. The
+// client decodes each header line in one pass on a jsonread.Reader,
+// without reflection, then reads the payload from the same buffered
+// reader into a buffer that grows only as bytes arrive. After the last
+// frame it reads the stream to its end, so the connection goes back to
+// the transport's pool and the next request reuses it.
 package batch
 
 import "fmt"
@@ -104,7 +112,7 @@ type ItemError struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// ItemResult is one line of the response stream.
+// ItemResult is one item of the response stream.
 type ItemResult struct {
 	// Index is the item's position in Request.Items. The server emits
 	// results in index order; a client merging chunks re-keys by it.
@@ -114,8 +122,8 @@ type ItemResult struct {
 	// Status is the HTTP status the single-item endpoint would have
 	// answered with (200 on success).
 	Status int `json:"status"`
-	// Result holds the exact single-item wire bytes on success,
-	// base64-encoded in transit.
+	// Result holds the exact single-item wire bytes on success. On the
+	// wire they follow the header line raw, which carries their length.
 	Result []byte `json:"result,omitempty"`
 	// Error carries the failure envelope when Status is not 200.
 	Error *ItemError `json:"error,omitempty"`

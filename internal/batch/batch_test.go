@@ -1,7 +1,11 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -46,28 +50,39 @@ func TestItemRouteKey(t *testing.T) {
 }
 
 // TestResultPayloadRoundTrip pins the byte-identity transport contract:
-// payload bytes survive the JSON envelope exactly, including trailing
-// newlines and characters an HTML-escaping raw embedding would mangle,
-// whether the envelope is read by encoding/json or by the client's
-// one-pass decoder.
+// a payload travels raw after its header, so newlines, bytes a JSON
+// encoder would escape and bytes that are not UTF-8 arrive exactly; and
+// a failed item's frame is, byte for byte, the envelope line that
+// json.Encoder writes for it, as earlier servers did.
 func TestResultPayloadRoundTrip(t *testing.T) {
-	payload := []byte("{\n  \"a\": \"<&>\",\n  \"b\": 1\n}\n")
-	line, err := json.Marshal(ItemResult{Index: 3, Op: OpDiff, Status: 200, Result: payload})
-	if err != nil {
+	payload := []byte("{\n  \"a\": \"<&>\",\n  \"b\": 1\n}\n\xff\x00")
+	ok := ItemResult{Index: 3, Op: OpDiff, Status: 200, Result: payload}
+	failed := ItemResult{Index: 4, Op: OpExtract, Status: 404,
+		Error: &ItemError{Code: "unknown_library", Message: "m", Detail: "<d> & \u2028"}}
+	var stream, envelope bytes.Buffer
+	for _, res := range []ItemResult{ok, failed} {
+		if err := WriteItem(&stream, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := json.NewEncoder(&envelope).Encode(failed); err != nil {
 		t.Fatal(err)
 	}
-	var got ItemResult
-	if err := json.Unmarshal(line, &got); err != nil {
-		t.Fatal(err)
+	want := fmt.Sprintf(`{"index":3,"op":"diff","status":200,"result":%d}`+"\n%s\n%s", len(payload), payload, envelope.Bytes())
+	if stream.String() != want {
+		t.Fatalf("frames:\n%q\nwant:\n%q", stream.Bytes(), want)
 	}
-	if string(got.Result) != string(payload) {
-		t.Fatalf("payload mutated in transit:\n%q\n%q", got.Result, payload)
+	rd := NewReader(&stream)
+	for _, res := range []ItemResult{ok, failed} {
+		got, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("read back %+v, want %+v", got, res)
+		}
 	}
-	got, err = decodeResult(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Result) != string(payload) || got.Index != 3 || got.Op != OpDiff || got.Status != 200 {
-		t.Fatalf("one-pass decode differs: %+v", got)
+	if _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 }

@@ -216,8 +216,8 @@ func (c *Client) runChunk(ctx context.Context, httpc *http.Client, member string
 	}
 }
 
-// postChunk performs one POST /v1/batch and reads its NDJSON stream to
-// the end, so the connection goes back to the transport's pool.
+// postChunk performs one POST /v1/batch and reads its stream of frames
+// to the end, so the connection goes back to the transport's pool.
 func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member string,
 	items []Item, indices []int, results []ItemResult, filled []bool, mu *sync.Mutex) error {
 	req := Request{Items: make([]Item, len(indices))}
@@ -248,9 +248,15 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 		}
 		return err
 	}
-	st := newStream(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); ct != ContentType {
+		// A polorad of another version frames its stream another way,
+		// and no retry changes that.
+		return errFatal{fmt.Errorf("batch: %s answered Content-Type %q, want %q (polora and polorad must be upgraded together)",
+			member, ct, ContentType)}
+	}
+	rd := NewReader(resp.Body)
 	for got := 0; got < len(indices); got++ {
-		res, err := st.next()
+		res, err := rd.Next()
 		if err != nil {
 			return fmt.Errorf("batch: stream from %s ended after %d of %d items: %w",
 				member, got, len(indices), err)
@@ -265,6 +271,6 @@ func (c *Client) postChunk(ctx context.Context, httpc *http.Client, member strin
 		filled[global] = true
 		mu.Unlock()
 	}
-	st.drain()
+	rd.drain()
 	return nil
 }

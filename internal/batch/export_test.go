@@ -5,16 +5,19 @@ import (
 	"io"
 )
 
-// DecodeResult exposes the client's envelope decoder to the package's
+// DecodeHeader exposes the client's header decoder to the package's
 // external tests.
-var DecodeResult = decodeResult
+var DecodeHeader = decodeHeader
 
-// ReadStream reads n envelopes from r with the loop postChunk runs.
+// Header is a frame's header line, for json.Unmarshal to decode into.
+type Header = header
+
+// ReadStream reads n items from r with the Reader postChunk runs.
 func ReadStream(r io.Reader, n int) ([]ItemResult, error) {
-	s := newStream(r)
+	rd := NewReader(r)
 	out := make([]ItemResult, 0, n)
 	for len(out) < n {
-		res, err := s.next()
+		res, err := rd.Next()
 		if err != nil {
 			return out, err
 		}
@@ -23,9 +26,9 @@ func ReadStream(r io.Reader, n int) ([]ItemResult, error) {
 	return out, nil
 }
 
-// RefReadStream is the json.Decoder loop that postChunk's one-pass
-// stream replaced, kept unchanged as the reference the differential
-// tests compare against.
+// RefReadStream is the json.Decoder loop of an earlier client, which
+// read NDJSON envelopes whose result held the payload base64-encoded.
+// It stands for the earlier readers in the mixed-version tests.
 func RefReadStream(r io.Reader, n int) ([]ItemResult, error) {
 	dec := json.NewDecoder(r)
 	out := make([]ItemResult, 0, n)

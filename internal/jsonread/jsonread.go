@@ -1,6 +1,6 @@
 // Package jsonread is a one-pass reader for JSON held in memory, the
 // shared half of the repository's hand-written decoders: policy import
-// (policy.ImportJSON) and the batch client's envelope decoder. A decoder
+// (policy.ImportJSON) and the batch client's frame-header decoder. A decoder
 // drives a Reader through the fixed schema it knows, one step per value,
 // and builds its result as it reads, without reflection.
 //
@@ -10,8 +10,7 @@
 //
 //   - a key matches exactly after unescaping, or else under
 //     bytes.EqualFold;
-//   - null leaves a string or int unchanged, leaves an array empty and
-//     makes a []byte nil;
+//   - null leaves a string or int unchanged and leaves an array empty;
 //   - a value of the wrong JSON type is an error, and an int must parse
 //     with strconv.ParseInt;
 //   - strings decode escapes, surrogate pairs and invalid UTF-8 exactly
@@ -31,7 +30,6 @@ package jsonread
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -211,8 +209,19 @@ func (r *Reader) StringOrNull() ([]byte, bool) {
 // it takes a number that strconv.ParseInt accepts and that fits an int:
 // "-0" is 0, but "1.0" and "1e0" are errors.
 func (r *Reader) Int(old int) int {
-	tok, ok := r.numberOrNull()
-	if !ok {
+	if r.err != nil {
+		return old
+	}
+	switch c := r.next(); {
+	case c == 'n':
+		r.literal("null")
+		return old
+	case c != '-' && (c < '0' || c > '9'):
+		r.typeError("a number")
+		return old
+	}
+	tok := r.number()
+	if r.err != nil {
 		return old
 	}
 	n, err := strconv.ParseInt(string(tok), 10, 64)
@@ -221,96 +230,6 @@ func (r *Reader) Int(old int) int {
 		return old
 	}
 	return int(n)
-}
-
-// numberOrNull reads a number's text, reporting false for null or an
-// error.
-func (r *Reader) numberOrNull() ([]byte, bool) {
-	if r.err != nil {
-		return nil, false
-	}
-	c := r.next()
-	if c == 'n' {
-		r.literal("null")
-		return nil, false
-	}
-	if c != '-' && (c < '0' || c > '9') {
-		r.typeError("a number")
-		return nil, false
-	}
-	tok := r.number()
-	return tok, r.err == nil
-}
-
-// Bytes decodes a []byte field as encoding/json does: a base64 string
-// (StdEncoding), or an array of numbers that each fit a byte. null is a
-// nil slice; "" and [] are empty, non-nil ones.
-//
-// A string without a backslash is found with bytes.IndexByte and
-// base64-decoded in place. Every byte JSON forbids inside a string is
-// outside the base64 alphabet, so it is rejected either way, except CR
-// and LF, which the base64 decoder would skip: those are rejected here.
-// A string with a backslash is unescaped first, as encoding/json
-// unescapes it.
-func (r *Reader) Bytes() []byte {
-	if r.err != nil {
-		return nil
-	}
-	var raw []byte
-	switch r.next() {
-	case '"':
-		body := r.data[r.pos+1:]
-		end := bytes.IndexByte(body, '"')
-		if end < 0 || bytes.IndexByte(body[:end], '\\') >= 0 {
-			raw = r.str()
-			break
-		}
-		raw = body[:end]
-		if bytes.IndexByte(raw, '\r') >= 0 || bytes.IndexByte(raw, '\n') >= 0 {
-			r.syntaxError("control character in string")
-			return nil
-		}
-		r.pos += end + 2
-	case '[':
-		return r.byteArray()
-	case 'n':
-		r.literal("null")
-		return nil
-	default:
-		r.typeError("a base64 string")
-		return nil
-	}
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, base64.StdEncoding.DecodedLen(len(raw)))
-	n, err := base64.StdEncoding.Decode(b, raw)
-	if err != nil {
-		r.Fail(fmt.Errorf("offset %d: %w", r.pos, err))
-		return nil
-	}
-	return b[:n]
-}
-
-// byteArray decodes the array form of a []byte: each element is a
-// number strconv.ParseUint reads as a byte, or null for a zero byte.
-func (r *Reader) byteArray() []byte {
-	b := []byte{}
-	r.Open('[')
-	for r.More(']') {
-		var n uint64
-		if tok, ok := r.numberOrNull(); ok {
-			var err error
-			if n, err = strconv.ParseUint(string(tok), 10, 8); err != nil {
-				r.typeError("a byte")
-			}
-		}
-		b = append(b, byte(n))
-	}
-	if r.err != nil {
-		return nil
-	}
-	return b
 }
 
 // stringByte marks the bytes that end str's fast scan: the closing

@@ -108,30 +108,6 @@ func TestInt(t *testing.T) {
 	}
 }
 
-// TestBytes pins the []byte step against json.Unmarshal on each path:
-// the raw base64 fast path, an escaped string, the array form, null and
-// the empty forms, and the raw CR or LF that base64 alone would skip.
-func TestBytes(t *testing.T) {
-	for _, src := range []string{
-		`"QUJD"`, `"QUJDRA=="`, `"QU\/D"`, `"QUJD\nRA=="`, `"QUJD\r\nRA=="`, `""`, `null`,
-		`[]`, `[0,255,null]`, `"QUJ"`, `"Q!JD"`, "\"QUJD\rRA==\"", "\"QUJD\nRA==\"", "\"QU\xc3\xa9D\"",
-		`"QUJD`, `"QUJD\`, `[256]`, `[-0]`, `[1.0]`, `[[1]]`, `["a"]`, `5`, `{}`, `true`,
-	} {
-		var want []byte
-		refErr := json.Unmarshal([]byte(src), &want)
-		r := jsonread.New([]byte(src))
-		got := r.Bytes()
-		r.End()
-		if (r.Err() == nil) != (refErr == nil) {
-			t.Errorf("Bytes(%s): error %v, json.Unmarshal error %v", src, r.Err(), refErr)
-			continue
-		}
-		if refErr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("Bytes(%s) = %#v, want %#v", src, got, want)
-		}
-	}
-}
-
 // TestMarkRewind decodes one value twice.
 func TestMarkRewind(t *testing.T) {
 	r := jsonread.New([]byte(`{"a":"x","b":1}`))

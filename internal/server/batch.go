@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -34,10 +33,11 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch executes a mixed array of extract/diff items under a
-// bounded worker pool, streaming one NDJSON batch.ItemResult line per
-// item in input order, flushed as each becomes available. Item failures
-// travel in per-item envelopes with the same stable codes as the
-// single-item endpoints; the stream itself stays 200.
+// bounded worker pool, streaming one batch frame per item in input
+// order, flushed as each becomes available: a JSON header line, then on
+// success the blob or report bytes as the store holds them. Item
+// failures travel in per-item envelopes with the same stable codes as
+// the single-item endpoints; the stream itself stays 200.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batch.Request
 	if !s.decode(w, r, &req) {
@@ -81,14 +81,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", batch.ContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for i := range slots {
 		select {
 		case res := <-slots[i]:
-			if err := enc.Encode(res); err != nil {
+			if err := batch.WriteItem(w, res); err != nil {
 				return
 			}
 			if flusher != nil {

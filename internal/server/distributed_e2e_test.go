@@ -120,7 +120,8 @@ func TestDistributedBatchByteIdentity(t *testing.T) {
 	wantPayload := [][]byte{wantJDK, wantDiff, wantHarmony, nil}
 
 	// Direct batch through replica 1: every blob must arrive over the
-	// peer tier, streamed as NDJSON in input order.
+	// peer tier, streamed as batch frames in input order and read through
+	// the client's Reader.
 	body, _ := json.Marshal(batch.Request{Items: items})
 	resp, err := http.Post(tr.urls[1]+"/v1/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -130,13 +131,13 @@ func TestDistributedBatchByteIdentity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("batch Content-Type %q, want application/x-ndjson", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != batch.ContentType {
+		t.Errorf("batch Content-Type %q, want %q", ct, batch.ContentType)
 	}
-	dec := json.NewDecoder(resp.Body)
+	rd := batch.NewReader(resp.Body)
 	for i := range items {
-		var res batch.ItemResult
-		if err := dec.Decode(&res); err != nil {
+		res, err := rd.Next()
+		if err != nil {
 			t.Fatalf("batch stream ended after %d of %d items: %v", i, len(items), err)
 		}
 		if res.Index != i {
@@ -156,6 +157,9 @@ func TestDistributedBatchByteIdentity(t *testing.T) {
 			t.Errorf("item %d: served bytes differ from the single-node wire (%d vs %d bytes)",
 				i, len(res.Result), len(wantPayload[i]))
 		}
+	}
+	if _, err := rd.Next(); err != io.EOF {
+		t.Errorf("after the last item: %v, want io.EOF", err)
 	}
 	if st := tr.stores[1].Stats(); st.BackendHits == 0 {
 		t.Error("replica 1 served the batch without a single peer fetch")
@@ -255,9 +259,10 @@ func TestBatchItemCap(t *testing.T) {
 }
 
 // TestBatchClientResumesSeveredStream pins mid-batch dropout at the
-// stream level: a replica that dies after streaming part of its NDJSON
-// response loses only the unstreamed remainder — the client keeps what
-// arrived and retries just the missing items.
+// stream level: a replica that dies after streaming part of its
+// response loses only what it had not streamed whole. The client keeps
+// the items whose frames arrived complete, records nothing for an item
+// cut inside its payload, and retries just the missing items.
 func TestBatchClientResumesSeveredStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -273,54 +278,78 @@ func TestBatchClientResumesSeveredStream(t *testing.T) {
 	fpJDK := upload(t, ts, "jdk")
 	fpHarmony := upload(t, ts, "harmony")
 	wantJDK, wantHarmony, wantDiff := referenceWire(t)
-
-	// Front: first batch request streams one line, then severs the
-	// connection; later requests pass through untouched.
-	var batches, itemsSeen atomic.Int64
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/batch") {
-			n := batches.Add(1)
-			body, _ := io.ReadAll(r.Body)
-			var req batch.Request
-			json.Unmarshal(body, &req)
-			itemsSeen.Add(int64(len(req.Items)))
-			if n == 1 {
-				rec := httptest.NewRecorder()
-				r2 := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
-				r2.Header.Set("Content-Type", "application/json")
-				inner.ServeHTTP(rec, r2)
-				first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.Write(first)
-				w.Write([]byte("\n"))
-				if f, ok := w.(http.Flusher); ok {
-					f.Flush()
-				}
-				panic(http.ErrAbortHandler) // sever mid-stream
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(front.Close)
-
 	items := []batch.Item{
 		{Op: batch.OpExtract, Fingerprint: fpJDK},
 		{Op: batch.OpDiff, A: fpJDK, B: fpHarmony},
 		{Op: batch.OpExtract, Fingerprint: fpHarmony},
 	}
-	client := &batch.Client{Members: []string{front.URL}, Retries: 2, Backoff: 10 * time.Millisecond}
-	results, err := client.Run(context.Background(), items)
-	if err != nil {
-		t.Fatalf("severed stream was not survived: %v", err)
+
+	// frameEnd returns the lengths of the header line and of the whole
+	// frame that body starts with. It runs in the front's handler, so it
+	// reports a malformed frame with Errorf.
+	frameEnd := func(body []byte) (header, whole int) {
+		line, _, _ := bytes.Cut(body, []byte("\n"))
+		var h struct{ Result int }
+		if err := json.Unmarshal(line, &h); err != nil || h.Result == 0 {
+			t.Errorf("not a success header: %q", line)
+		}
+		return len(line) + 1, len(line) + 1 + h.Result + 1
 	}
-	checkBatchResults(t, "severed stream", results, [][]byte{wantJDK, wantDiff, wantHarmony})
-	if batches.Load() < 2 {
-		t.Fatalf("only %d batch request(s); the sever never happened", batches.Load())
-	}
-	// The retry re-requested only the items the severed stream lost:
-	// 3 in the first request, 2 in the second.
-	if got := itemsSeen.Load(); got != 5 {
-		t.Errorf("replica saw %d items across retries, want 5 (3 + the 2 unstreamed)", got)
+	for name, cut := range map[string]func(body []byte) int{
+		"after the first whole frame": func(body []byte) int {
+			_, whole := frameEnd(body)
+			return whole
+		},
+		"inside the second frame's payload": func(body []byte) int {
+			_, first := frameEnd(body)
+			header, whole := frameEnd(body[first:])
+			return first + (header+whole)/2
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Front: the first batch request streams its response up to
+			// the cut, then severs the connection; later requests pass
+			// through untouched.
+			var batches, itemsSeen atomic.Int64
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/batch") {
+					n := batches.Add(1)
+					body, _ := io.ReadAll(r.Body)
+					var req batch.Request
+					json.Unmarshal(body, &req)
+					itemsSeen.Add(int64(len(req.Items)))
+					if n == 1 {
+						rec := httptest.NewRecorder()
+						r2 := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+						r2.Header.Set("Content-Type", "application/json")
+						inner.ServeHTTP(rec, r2)
+						w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+						w.Write(rec.Body.Bytes()[:cut(rec.Body.Bytes())])
+						if f, ok := w.(http.Flusher); ok {
+							f.Flush()
+						}
+						panic(http.ErrAbortHandler) // sever mid-stream
+					}
+					r.Body = io.NopCloser(bytes.NewReader(body))
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			t.Cleanup(front.Close)
+
+			client := &batch.Client{Members: []string{front.URL}, Retries: 2, Backoff: 10 * time.Millisecond}
+			results, err := client.Run(context.Background(), items)
+			if err != nil {
+				t.Fatalf("severed stream was not survived: %v", err)
+			}
+			checkBatchResults(t, "severed stream", results, [][]byte{wantJDK, wantDiff, wantHarmony})
+			if batches.Load() < 2 {
+				t.Fatalf("only %d batch request(s); the sever never happened", batches.Load())
+			}
+			// The retry re-requested only the items the severed stream did
+			// not deliver whole: 3 in the first request, 2 in the second.
+			if got := itemsSeen.Load(); got != 5 {
+				t.Errorf("replica saw %d items across retries, want 5 (3 + the 2 undelivered)", got)
+			}
+		})
 	}
 }

@@ -15,8 +15,10 @@
 //	GET  /v1/drift/{pair}      latest pair delta + alert      → reconcile.PairStatus
 //	POST /v1/campaign          campaign.ShardRequest          → campaign.StatusResponse (202)
 //	GET  /v1/campaign/{id}     shard job status/result        → campaign.StatusResponse
-//	POST /v1/batch             batch.Request (≤ MaxBatchItems) → NDJSON stream of
-//	                           batch.ItemResult, input order, flushed per item
+//	POST /v1/batch             batch.Request (≤ MaxBatchItems) → batch.ContentType stream,
+//	                           one frame per item in input order, flushed per item:
+//	                           a JSON header line, then on success "result" raw
+//	                           payload bytes and a newline
 //	GET  /v1/blob/{fp}         local-only policy blob         → policy wire JSON
 //	GET  /healthz                                       → "ok"
 //	GET  /statsz                                        → store counters

@@ -9,6 +9,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,8 +53,11 @@ type Class struct {
 	File        *ast.File
 
 	fieldsByName map[string]*Field
-	subsOnce     sync.Once
-	subs         []*Class
+	// byName holds Methods sorted by indexName, in declaration order
+	// within a name: MethodsNamed's index.
+	byName   []*Method
+	subsOnce sync.Once
+	subs     []*Class
 }
 
 // Field is one declared field.
@@ -310,6 +314,8 @@ func (p *Program) resolveClass(c *Class) {
 		c.Methods = append(c.Methods, m)
 		p.methods = append(p.methods, m)
 	}
+	c.byName = slices.Clone(c.Methods)
+	slices.SortStableFunc(c.byName, func(a, b *Method) int { return strings.Compare(a.indexName(), b.indexName()) })
 }
 
 func (p *Program) resolveType(tr ast.TypeRef, f *ast.File) Type {
@@ -370,19 +376,29 @@ func (c *Class) FieldOf(name string) *Field {
 }
 
 // MethodsNamed returns methods declared directly on c with the given name
-// (or constructors when name is "<init>").
+// (or constructors when name is "<init>"), in declaration order. The
+// slice is Build's index: callers must not write to it, and it is
+// clipped, so an append copies it.
 func (c *Class) MethodsNamed(name string) []*Method {
-	var out []*Method
-	for _, m := range c.Methods {
-		if name == "<init>" {
-			if m.IsCtor {
-				out = append(out, m)
-			}
-		} else if !m.IsCtor && m.Name == name {
-			out = append(out, m)
-		}
+	i, _ := slices.BinarySearchFunc(c.byName, name, func(m *Method, name string) int {
+		return strings.Compare(m.indexName(), name)
+	})
+	j := i
+	for j < len(c.byName) && c.byName[j].indexName() == name {
+		j++
 	}
-	return out
+	if i == j {
+		return nil
+	}
+	return c.byName[i:j:j]
+}
+
+// indexName is the name MethodsNamed lists m under.
+func (m *Method) indexName() string {
+	if m.IsCtor {
+		return "<init>"
+	}
+	return m.Name
 }
 
 // LookupMethod resolves a method by name and argument count starting at c

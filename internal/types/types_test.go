@@ -1,6 +1,9 @@
 package types
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"policyoracle/internal/ast"
@@ -246,6 +249,71 @@ class String { }
 	}
 	if !ctors[0].IsEntryPoint() {
 		t.Error("public ctor should be an entry point")
+	}
+}
+
+// TestMethodIndexOrder pins Build's name index: MethodsNamed lists a
+// name's overloads, and "<init>" the constructors, in declaration order
+// whatever lies between them; LookupMethod returns the first arity
+// match; and a caller that appends to a returned slice and writes to
+// the result leaves the index as it was.
+func TestMethodIndexOrder(t *testing.T) {
+	p := build(t, `
+package p;
+public class A {
+  public void f(int x) { }
+  public A() { }
+  public void g() { }
+  public void f(String s) { }
+  public A(int x) { }
+  public void f() { }
+  public A(String s) { }
+  public void f(int x, int y) { }
+}
+class String { }
+`)
+	a := p.Classes["p.A"]
+	sigs := func(ms []*Method) []string {
+		var out []string
+		for _, m := range ms {
+			out = append(out, m.Sig())
+		}
+		return out
+	}
+	if got, want := sigs(a.MethodsNamed("f")), []string{"f(int)", "f(String)", "f()", "f(int,int)"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("MethodsNamed(f) = %v, want %v", got, want)
+	}
+	if got, want := sigs(a.MethodsNamed("<init>")), []string{"<init>()", "<init>(int)", "<init>(String)"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("MethodsNamed(<init>) = %v, want %v", got, want)
+	}
+	if got := a.MethodsNamed("A"); got != nil {
+		t.Errorf("MethodsNamed(A) = %v: constructors are listed only under <init>", sigs(got))
+	}
+	if m := a.LookupMethod("f", 1); m == nil || m.Sig() != "f(int)" {
+		t.Errorf("LookupMethod(f, 1) = %v, want the first declared, f(int)", m)
+	}
+	for _, name := range []string{"f", "<init>"} {
+		want := a.MethodsNamed(name)[0]
+		grown := append(a.MethodsNamed(name), nil)
+		grown[0] = want.Class.Methods[len(want.Class.Methods)-1]
+		if got := a.MethodsNamed(name); len(got) == 0 || got[0] != want {
+			t.Errorf("writing to an append of MethodsNamed(%s) changed the index", name)
+		}
+	}
+
+	// Past a dozen methods a sort need not keep equal names in order.
+	var src strings.Builder
+	src.WriteString("package p;\npublic class B {\n")
+	params := []string{}
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "  public void h(%s) { }\n  public void g(%s) { }\n", strings.Join(params, ", "), strings.Join(params, ", "))
+		params = append(params, fmt.Sprintf("int x%d", i))
+	}
+	src.WriteString("}\n")
+	for k, m := range build(t, src.String()).Classes["p.B"].MethodsNamed("h") {
+		if len(m.Params) != k {
+			t.Fatalf("MethodsNamed(h)[%d] is %s: out of declaration order", k, m.Sig())
+		}
 	}
 }
 
