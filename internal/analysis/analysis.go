@@ -312,26 +312,34 @@ type EntryResult struct {
 
 // task is the state private to one AnalyzeEntry invocation: the recursion
 // stack of the ISPA descent, a freelist of dataflow frames (each active
-// ispa nesting level holds one solver), a freelist of dependency bitsets,
-// and, under MemoPerEntry/MemoNone, the entry-scoped caches. Concurrent
-// entry analyses each run on their own task and share only the Analyzer's
+// ispa nesting level holds one solver), constant propagation's working
+// memory, the buffers that flatten the entry's summary DAG, and, under
+// MemoPerEntry/MemoNone, the entry-scoped caches. Concurrent entry
+// analyses each run on their own task and share only the Analyzer's
 // striped caches.
 //
 // Idle tasks wait on the Analyzer's freelist: steady-state extraction
-// reuses the recursion-stack slice, the solver buffers, and the
-// entry-local maps of a previous entry instead of reallocating them. The
-// freelist is a plain slice the Analyzer owns. A pool from package sync
-// would register itself with the runtime, which then keeps the pool, and
-// through it the whole Analyzer with its summary and CP caches,
-// reachable for up to two garbage collections after the extraction drops
-// the Analyzer; owned, all of it is freed by the first.
+// reuses the recursion-stack slice, the solver and constant-propagation
+// buffers, and the entry-local maps of a previous entry instead of
+// reallocating them. The freelist is a plain slice the Analyzer owns. A
+// pool from package sync would register itself with the runtime, which
+// then keeps the pool, and through it the whole Analyzer with its
+// summary and CP caches, reachable for up to two garbage collections
+// after the extraction drops the Analyzer; owned, all of it is freed by
+// the first.
 type task struct {
-	a      *Analyzer
-	active []int32                     // recursion counts, by Method.ID
-	memo   map[memoKey]*summary        // entry-local summaries (MemoPerEntry)
-	cp     map[cpKey]*constprop.Result // entry-local CP results (MemoPerEntry/MemoNone)
-	frames []*frame                    // freelist of solver frames
-	sets   []bitset.Set                // freelist of dependency-set scratch
+	a         *Analyzer
+	active    []int32                     // recursion counts, by Method.ID
+	memo      map[memoKey]*summary        // entry-local summaries (MemoPerEntry)
+	cp        map[cpKey]*constprop.Result // entry-local CP results (MemoPerEntry/MemoNone)
+	frames    []*frame                    // freelist of solver frames
+	cpScratch constprop.Scratch
+
+	// Flatten buffers, empty between entries.
+	walk    []walkFrame
+	seen    map[*summary]struct{}
+	origins map[OriginRec]struct{}
+	deps    bitset.Set // by Method.ID
 }
 
 // frame is the per-ispa-nesting-level dataflow machinery: a reusable
@@ -374,23 +382,6 @@ func (t *task) putFrame(fr *frame) {
 	t.frames = append(t.frames, fr)
 }
 
-// getSet returns a cleared dependency-set scratch buffer.
-func (t *task) getSet() bitset.Set {
-	if n := len(t.sets); n > 0 {
-		s := t.sets[n-1]
-		t.sets = t.sets[:n-1]
-		s.Reset()
-		return s
-	}
-	return bitset.New(len(t.a.prog.Types.AllMethods()))
-}
-
-func (t *task) putSet(s bitset.Set) {
-	if s != nil {
-		t.sets = append(t.sets, s)
-	}
-}
-
 func (a *Analyzer) getTask() *task {
 	a.taskMu.Lock()
 	if n := len(a.tasks); n > 0 {
@@ -400,7 +391,14 @@ func (a *Analyzer) getTask() *task {
 		return t
 	}
 	a.taskMu.Unlock()
-	t := &task{a: a, active: make([]int32, len(a.prog.Types.AllMethods()))}
+	n := len(a.prog.Types.AllMethods())
+	t := &task{
+		a:       a,
+		active:  make([]int32, n),
+		seen:    make(map[*summary]struct{}),
+		origins: make(map[OriginRec]struct{}),
+		deps:    bitset.New(n),
+	}
 	if a.cfg.Memo != MemoGlobal {
 		t.memo = make(map[memoKey]*summary)
 		t.cp = make(map[cpKey]*constprop.Result)
@@ -448,28 +446,117 @@ func (a *Analyzer) AnalyzeEntry(m *types.Method) *EntryResult {
 	}
 	t := a.getTask()
 	sum := t.ispa(m, a.entryState(), nil, false, 0, true)
-	for _, er := range sum.events {
-		res.addEvent(a.ev.Event(er.id), er.st, a.cfg.Mode)
-	}
-	if a.cfg.CollectOrigins {
-		res.Origins = append([]OriginRec(nil), sum.origins...)
-	}
-	res.Deps = a.depSigs(sum.deps)
+	t.replay(sum, res)
+	res.Origins, res.Deps = t.originsAndDeps(sum)
 	a.putTask(t)
 	return res
 }
 
-// depSigs converts a summary's dependency set to sorted qualified
-// signatures (overloads that collide on signature conflate — the IR hash
-// layer combines their hashes the same way, so reuse stays sound).
-func (a *Analyzer) depSigs(deps bitset.Set) []string {
-	methods := a.prog.Types.AllMethods()
-	out := make([]string, 0, deps.Len())
-	deps.ForEach(func(id int) {
-		out = append(out, methods[id].Qualified())
+// walkFrame is one summary on a flatten stack: the next callee reference
+// to enter, and how many of the summary's own events (or origins) have
+// been emitted.
+type walkFrame struct {
+	s    *summary
+	next int
+	done int
+}
+
+// replay adds every event occurrence beneath root to res in recording
+// order: a depth-first walk that emits each summary's own events up to
+// each callee reference, then the callee's, then the rest. A summary
+// reached twice is replayed twice. Occurrence counts see every
+// duplicate, and past PathCap PathSets.Join is neither idempotent nor
+// order-free, so the MAY path sets depend on the exact sequence.
+//
+// The walk skips references to summaries with no events beneath them:
+// they would emit nothing, and the unfolded call tree under a memoized
+// DAG can be exponentially larger than its events (each level calling
+// the next twice). Every summary entered then emits at least one event,
+// so the walk enters at most the events emitted times the call depth.
+func (t *task) replay(root *summary, res *EntryResult) {
+	a := t.a
+	emit := func(evs []eventRec) {
+		for _, er := range evs {
+			res.addEvent(a.ev.Event(er.id), er.st, a.cfg.Mode)
+		}
+	}
+	stack := append(t.walk, walkFrame{s: root})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.s.callees) {
+			c := top.s.callees[top.next]
+			top.next++
+			if !c.s.emits {
+				continue
+			}
+			emit(top.s.events[top.done:c.events])
+			top.done = int(c.events)
+			stack = append(stack, walkFrame{s: c.s})
+			continue
+		}
+		emit(top.s.events[top.done:])
+		stack[len(stack)-1] = walkFrame{}
+		stack = stack[:len(stack)-1]
+	}
+	t.walk = stack
+}
+
+// originsAndDeps collects, in one depth-first walk that enters each
+// distinct summary beneath root once, the entry's check origins in
+// order of first occurrence (when origins are collected) and its
+// dependency set as sorted qualified signatures (overloads that collide
+// on signature conflate — the IR hash layer combines their hashes the
+// same way, so reuse stays sound). Skipping a summary already walked
+// loses nothing: all of its origins and dependencies were seen the
+// first time.
+func (t *task) originsAndDeps(root *summary) ([]OriginRec, []string) {
+	collect := t.a.cfg.CollectOrigins
+	var origins []OriginRec
+	emit := func(recs []OriginRec) {
+		for _, o := range recs {
+			if _, dup := t.origins[o]; !dup {
+				t.origins[o] = struct{}{}
+				origins = append(origins, o)
+			}
+		}
+	}
+	t.seen[root] = struct{}{}
+	stack := append(t.walk, walkFrame{s: root})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.s.callees) {
+			c := top.s.callees[top.next]
+			if collect {
+				emit(top.s.origins[top.done:c.origins])
+			}
+			top.next, top.done = top.next+1, int(c.origins)
+			if _, ok := t.seen[c.s]; !ok {
+				t.seen[c.s] = struct{}{}
+				stack = append(stack, walkFrame{s: c.s})
+			}
+			continue
+		}
+		if collect {
+			emit(top.s.origins[top.done:])
+		}
+		if top.s.method >= 0 {
+			t.deps.Add(int(top.s.method))
+		}
+		stack[len(stack)-1] = walkFrame{}
+		stack = stack[:len(stack)-1]
+	}
+	t.walk = stack
+	clear(t.seen)
+	clear(t.origins)
+
+	methods := t.a.prog.Types.AllMethods()
+	deps := make([]string, 0, t.deps.Len())
+	t.deps.ForEach(func(id int) {
+		deps = append(deps, methods[id].Qualified())
 	})
-	sort.Strings(out)
-	return out
+	t.deps.Reset()
+	sort.Strings(deps)
+	return origins, deps
 }
 
 // lookupMemo consults the summary cache appropriate to the memo mode.

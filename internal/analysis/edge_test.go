@@ -1,7 +1,11 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"policyoracle/internal/policy"
 	"policyoracle/internal/secmodel"
@@ -267,6 +271,131 @@ public class Many {
 	}
 	if union != want {
 		t.Errorf("paths union = %s, want %s", union.StringIn(secmodel.SecurityManager()), want.StringIn(secmodel.SecurityManager()))
+	}
+}
+
+// TestPathsReplayOrderPastCap pins the order and multiplicity in which an
+// entry replays the events of shared callee summaries. Nine branches
+// reach op0 through the memoized helper op() under nine distinct path
+// states, one more than PathCap, so the event's path set overflows; the
+// tenth branch calls read() again, a memo hit whose summary the entry
+// has already walked, and brings op0 back under the first state. Past
+// PathCap a join is neither idempotent nor order-free: replaying that
+// summary again adds {checkRead} beside the collapsed union, and a
+// replay that skipped summaries it had seen would leave the union alone.
+func TestPathsReplayOrderPastCap(t *testing.T) {
+	src := `
+package java.lang;
+public class Fan {
+  SecurityManager sm;
+  public void m(int k) {
+    if (k == 0) { read(); }
+    else if (k == 1) { write(); }
+    else if (k == 2) { exit(); }
+    else if (k == 3) { link(); }
+    else if (k == 4) { listen(); }
+    else if (k == 5) { permission(); }
+    else if (k == 6) { connect(); }
+    else if (k == 7) { accept(); }
+    else if (k == 8) { multicast(); }
+    else { read(); }
+  }
+  void read() { sm.checkRead("a"); op(); }
+  void write() { sm.checkWrite("a"); op(); }
+  void exit() { sm.checkExit(1); op(); }
+  void link() { sm.checkLink("a"); op(); }
+  void listen() { sm.checkListen(1); op(); }
+  void permission() { sm.checkPermission(this); op(); }
+  void connect() { sm.checkConnect("a", 1); op(); }
+  void accept() { sm.checkAccept("a", 1); op(); }
+  void multicast() { sm.checkMulticast(this); op(); }
+  void op() { op0(); }
+  native void op0();
+}
+`
+	r := analyzeOne(t, DefaultConfig(May), "java.lang.Fan", "m", src)
+	nat := eventResult(t, r, secmodel.Event{Kind: secmodel.NativeCall, Key: "op0/0"})
+	all := setOf(t, "checkRead", 1, "checkWrite", 1, "checkExit", 1, "checkLink", 1, "checkListen", 1,
+		"checkPermission", 1, "checkConnect", 2, "checkAccept", 2, "checkMulticast", 1)
+	if nat.Checks != all {
+		t.Errorf("may = %s, want %s", nat.Checks.StringIn(secmodel.SecurityManager()), all.StringIn(secmodel.SecurityManager()))
+	}
+	wantPaths := policy.PathSets{Sets: []policy.CheckSet{setOf(t, "checkRead", 1), all}, Overflow: true}
+	if !nat.Paths.Equal(wantPaths) {
+		t.Errorf("paths = %s (overflow %t), want %s (overflow true)",
+			nat.Paths.StringIn(secmodel.SecurityManager()), nat.Paths.Overflow, wantPaths.StringIn(secmodel.SecurityManager()))
+	}
+	if nat.Occurrences != 10 {
+		t.Errorf("occurrences = %d, want 10", nat.Occurrences)
+	}
+	var want []OriginRec
+	for _, o := range []struct {
+		check  string
+		arity  int
+		helper string
+	}{
+		{"checkRead", 1, "read"}, {"checkWrite", 1, "write"}, {"checkExit", 1, "exit"},
+		{"checkLink", 1, "link"}, {"checkListen", 1, "listen"}, {"checkPermission", 1, "permission"},
+		{"checkConnect", 2, "connect"}, {"checkAccept", 2, "accept"}, {"checkMulticast", 1, "multicast"},
+	} {
+		want = append(want, OriginRec{Check: checkID(t, o.check, o.arity), Sig: "java.lang.Fan." + o.helper + "()"})
+	}
+	if !slices.Equal(r.Origins, want) {
+		t.Errorf("origins = %v, want %v", r.Origins, want)
+	}
+}
+
+// TestReplaySkipsEventFreeCallees runs an entry over a 40-level call DAG
+// in which every level calls the next twice and only the leaf does
+// anything: a check, no event. Memo hits share one summary per level and
+// state, so the analysis is linear in the depth, but the fully unfolded
+// call tree beneath the entry has 2^40 frames. The entry's own native
+// call and its return are its only events; a replay that entered callee summaries with no
+// events beneath them would walk that whole tree and never finish.
+func TestReplaySkipsEventFreeCallees(t *testing.T) {
+	const depth = 40
+	var b strings.Builder
+	b.WriteString("package java.lang;\npublic class Dag {\n  static SecurityManager sm;\n")
+	b.WriteString("  public void m() { m0(); op0(); }\n  native void op0();\n")
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&b, "  static void m%d() { m%d(); m%d(); }\n", i, i+1, i+1)
+	}
+	fmt.Fprintf(&b, "  static void m%d() { sm.checkRead(\"a\"); }\n}\n", depth)
+	p, res := buildProgram(t, b.String())
+	var entry *types.Method
+	for _, m := range p.Types.Classes["java.lang.Dag"].Methods {
+		if m.Name == "m" {
+			entry = m
+		}
+	}
+
+	for _, mode := range []Mode{May, Must} {
+		a := New(p, res, DefaultConfig(mode))
+		done := make(chan *EntryResult, 1)
+		go func() { done <- a.AnalyzeEntry(entry) }()
+		var r *EntryResult
+		select {
+		case r = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("mode %v: entry analysis still running after 30s", mode)
+		}
+		if len(r.Events) != 2 {
+			t.Fatalf("mode %v: events = %v, want op0 and the return", mode, eventsOf(r))
+		}
+		for _, ev := range []secmodel.Event{{Kind: secmodel.NativeCall, Key: "op0/0"}, secmodel.ReturnEvent()} {
+			er := eventResult(t, r, ev)
+			if want := setOf(t, "checkRead", 1); er.Checks != want || er.Occurrences != 1 {
+				t.Errorf("mode %v: %s checks = %s, occurrences = %d; want %s, 1", mode, ev,
+					er.Checks.StringIn(secmodel.SecurityManager()), er.Occurrences, want.StringIn(secmodel.SecurityManager()))
+			}
+		}
+		want := []OriginRec{{Check: checkID(t, "checkRead", 1), Sig: fmt.Sprintf("java.lang.Dag.m%d()", depth)}}
+		if !slices.Equal(r.Origins, want) {
+			t.Errorf("mode %v: origins = %v, want %v", mode, r.Origins, want)
+		}
+		if len(r.Deps) != depth+2 {
+			t.Errorf("mode %v: %d deps, want %d", mode, len(r.Deps), depth+2)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"policyoracle/internal/bitset"
 	"policyoracle/internal/cfg"
 	"policyoracle/internal/constprop"
 	"policyoracle/internal/ir"
@@ -22,8 +21,23 @@ type eventRec struct {
 }
 
 // summary is the memoized result of analyzing one method in one context:
-// the exit state (meet over its returns) and every event occurring within
-// the method or its callees. Summaries are immutable once stored.
+// the exit state (meet over its returns), the events and check origins
+// of the method's own body, and references to the callee summaries it
+// merged. Summaries are immutable once stored, so a callee summary is
+// shared by reference rather than copied into each caller: memoized
+// summaries and their references form a DAG, and an entry result
+// flattens it once (see task.replay and task.originsAndDeps).
+//
+// method is the Method.ID of the analyzed body, the summary's own
+// contribution to the entry's dependency set; it is -1 for the
+// placeholders that analyze no body (no IR, or the recursion cutoff).
+// Methods resolved but skipped (no body, unresolved, beyond MaxDepth)
+// are covered by the caller's own IR hash, which records the resolution
+// facts of each call site.
+//
+// emits is set when the summary or any callee beneath it holds an event,
+// so an entry's replay enters only the references that contribute
+// events (see task.replay).
 //
 // truncated marks a summary whose computation hit the recursion cutoff —
 // either the cutoff's own placeholder result or any summary derived from
@@ -34,42 +48,45 @@ type eventRec struct {
 // same method outside the cycle silently drop the checks and events cut
 // off here.
 type summary struct {
-	out     state
-	events  []eventRec
-	origins []OriginRec
-	// deps is the set of methods (by Method.ID) whose analyzed bodies this
-	// summary was computed from: the method itself plus the dependency
-	// sets of every callee summary merged during the recording pass, as a
-	// bitset so callee merges are O(words) unions. Incremental extraction
-	// re-analyzes an entry point iff any method in its dependency set
-	// changed; methods resolved but skipped (no body, unresolved, beyond
-	// MaxDepth) are covered by the caller's own IR hash, which records the
-	// resolution facts of each call site.
-	deps      bitset.Set
+	out       state
+	method    int32
+	events    []eventRec
+	origins   []OriginRec
+	callees   []calleeRef
+	emits     bool
 	truncated bool
 }
 
-// recorder accumulates events during the post-convergence recording pass.
-// deps is task-owned scratch (see task.getSet), released after the
-// summary snapshots it.
+// calleeRef is one callee summary merged into its caller's. The callee's
+// content falls after the first events of the caller's own events and
+// the first origins of its own origins, in recording order.
+type calleeRef struct {
+	s       *summary
+	events  int32
+	origins int32
+}
+
+// recorder accumulates a summary during the post-convergence recording
+// pass.
 type recorder struct {
 	events    []eventRec
 	origins   []OriginRec
-	deps      bitset.Set
+	callees   []calleeRef
 	exit      state
 	haveExit  bool
+	emits     bool
 	truncated bool
 }
 
 func (r *recorder) event(id secmodel.EventID, st state) {
 	r.events = append(r.events, eventRec{id, st})
+	r.emits = true
 }
 
 func (r *recorder) merge(s *summary) {
-	r.events = append(r.events, s.events...)
-	r.origins = append(r.origins, s.origins...)
+	r.callees = append(r.callees, calleeRef{s: s, events: int32(len(r.events)), origins: int32(len(r.origins))})
+	r.emits = r.emits || s.emits
 	r.truncated = r.truncated || s.truncated
-	r.deps.UnionWith(s.deps)
 }
 
 func (r *recorder) exitAt(a *Analyzer, st state) {
@@ -89,7 +106,7 @@ func (t *task) ispa(m *types.Method, in state, argConsts []constprop.Value, priv
 	a := t.a
 	f := a.prog.FuncOf(m)
 	if f == nil {
-		return &summary{out: in}
+		return &summary{out: in, method: -1}
 	}
 	priv = priv || a.cfg.Domain.IsPrivilegedScope(m)
 
@@ -116,7 +133,7 @@ func (t *task) ispa(m *types.Method, in state, argConsts []constprop.Value, priv
 		// the default bound of 0 matches the paper's implementation). The
 		// placeholder is truncated so that no summary computed from it is
 		// ever memoized.
-		return &summary{out: in, truncated: true}
+		return &summary{out: in, method: -1, truncated: true}
 	}
 	t.active[m.ID]++
 	defer func() { t.active[m.ID]-- }()
@@ -135,7 +152,7 @@ func (t *task) ispa(m *types.Method, in state, argConsts []constprop.Value, priv
 	sol := fr.solver.Solve(&fr.prob)
 
 	// Recording pass over the converged solution.
-	rec := &recorder{deps: t.getSet()}
+	rec := &recorder{}
 	for _, b := range f.Blocks {
 		if !sol.Reached[b.Index] {
 			continue
@@ -146,9 +163,7 @@ func (t *task) ispa(m *types.Method, in state, argConsts []constprop.Value, priv
 	if rec.haveExit {
 		out = rec.exit
 	}
-	rec.deps.Add(m.ID)
-	s := &summary{out: out, events: rec.events, origins: dedupOrigins(rec.origins), deps: rec.deps.Clone(), truncated: rec.truncated}
-	t.putSet(rec.deps)
+	s := &summary{out: out, method: int32(m.ID), events: rec.events, origins: rec.origins, callees: rec.callees, emits: rec.emits, truncated: rec.truncated}
 	t.putFrame(fr)
 	if !s.truncated {
 		// A summary computed beneath an active recursion cutoff reflects
@@ -157,21 +172,6 @@ func (t *task) ispa(m *types.Method, in state, argConsts []constprop.Value, priv
 		t.storeMemo(key, s)
 	}
 	return s
-}
-
-func dedupOrigins(in []OriginRec) []OriginRec {
-	if len(in) <= 1 {
-		return in
-	}
-	seen := make(map[OriginRec]bool, len(in))
-	out := in[:0]
-	for _, o := range in {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // constants runs (and caches) conditional constant propagation for f
@@ -205,7 +205,7 @@ func (t *task) constants(m *types.Method, f *ir.Func, argConsts []constprop.Valu
 	r := constprop.Analyze(f, argConsts, constprop.Config{
 		AssumeSecurityManager: a.cfg.AssumeSecurityManager,
 		IsGetSecurityManager:  a.cfg.Domain.IsGetSecurityManager,
-	})
+	}, &t.cpScratch)
 	if t.cp != nil {
 		t.cp[key] = r
 	} else {

@@ -3,8 +3,8 @@
 // are small non-negative integers (method ids, check ids, event ids);
 // all set operations run in O(words), not O(elements).
 //
-// The zero value is an empty set. Sets grow on Add/UnionWith; they never
-// shrink, so a pooled set can be Reset and reused without reallocation.
+// The zero value is an empty set. Sets grow on Add; they never shrink,
+// so a pooled set can be Reset and reused without reallocation.
 package bitset
 
 import "math/bits"
@@ -53,18 +53,6 @@ func (s Set) Remove(i int) {
 	}
 }
 
-// UnionWith adds every element of t to s, growing s if needed.
-func (s *Set) UnionWith(t Set) {
-	if len(t) > len(*s) {
-		grown := make(Set, len(t))
-		copy(grown, *s)
-		*s = grown
-	}
-	for w, word := range t {
-		(*s)[w] |= word
-	}
-}
-
 // IntersectWith removes from s every element not in t.
 func (s Set) IntersectWith(t Set) {
 	for w := range s {
@@ -103,16 +91,6 @@ func (s Set) Equal(t Set) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
 }
 
 // Reset clears the set in place, keeping its capacity.

@@ -19,34 +19,37 @@ func loopyBody(n int) string {
 }
 
 // TestAnalyzeAllocationFlat is the allocation regression test for the
-// arena rework: Analyze's allocation count must stay a small constant
-// independent of CFG size. The former implementation allocated one map
-// per block environment plus a re-grown worklist slice, so allocations
-// scaled with blocks × locals.
+// solver's working memory, on the path ISPA runs: a warm solve on a
+// reused Scratch allocates only its Result (the struct, the edge-offset
+// table and one liveness arena; these bodies make no calls), whatever
+// the CFG size. The former implementation allocated one map per block
+// environment plus a re-grown worklist slice, so allocations scaled with
+// blocks × locals.
 func TestAnalyzeAllocationFlat(t *testing.T) {
 	small := lowerFunc(t, loopyBody(2), "int k")
 	large := lowerFunc(t, loopyBody(20), "int k")
-	nSmall := testing.AllocsPerRun(50, func() { Analyze(small, nil, Config{}) })
-	nLarge := testing.AllocsPerRun(50, func() { Analyze(large, nil, Config{}) })
-	// The arena design allocates O(1) slices per call (result, bool
-	// arena, value arena, in-table, worklist); block count must not leak
-	// into the count. Allow a word of slack for map sizing of callArgs.
-	if nSmall > 12 {
-		t.Errorf("small function: %v allocs per Analyze, want <= 12", nSmall)
+	var s Scratch
+	Analyze(large, nil, Config{}, &s) // size the scratch for both
+	nSmall := testing.AllocsPerRun(50, func() { Analyze(small, nil, Config{}, &s) })
+	nLarge := testing.AllocsPerRun(50, func() { Analyze(large, nil, Config{}, &s) })
+	if nSmall > 3 {
+		t.Errorf("small function: %v allocs per warm Analyze, want <= 3", nSmall)
 	}
-	if nLarge > nSmall+4 {
+	if nLarge != nSmall {
 		t.Errorf("allocation scales with CFG size: %v (small) -> %v (large)", nSmall, nLarge)
 	}
 }
 
-// BenchmarkAnalyze measures one constant-propagation solve of a
-// loop-heavy function, the analysis the ISPA hot path runs per
-// (method, constant-binding) pair.
+// BenchmarkAnalyze measures one warm constant-propagation solve of a
+// loop-heavy function on a reused Scratch, the analysis the ISPA hot
+// path runs per (method, constant-binding) pair.
 func BenchmarkAnalyze(b *testing.B) {
 	f := lowerFunc(b, loopyBody(8), "int k")
+	var s Scratch
+	Analyze(f, nil, Config{}, &s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(f, nil, Config{})
+		Analyze(f, nil, Config{}, &s)
 	}
 }

@@ -141,9 +141,10 @@ type Config struct {
 }
 
 // Result holds the outcome of conditional constant propagation for one
-// function under one parameter binding.
+// function under one parameter binding: which blocks and edges can
+// execute, and the abstract argument values at every live call site. It
+// shares no memory with the Scratch it was computed on.
 type Result struct {
-	fn        *ir.Func
 	blockLive []bool
 	// edgeLive is the per-successor-edge feasibility, flattened over all
 	// blocks: the i'th successor edge of block b lives at
@@ -151,11 +152,13 @@ type Result struct {
 	// (block, succ) pairs — edge indices are dense once block indices are.
 	edgeLive []bool
 	succOff  []int
-	callArgs map[*ir.Call][]Value
-	// argArena backs every callArgs slice; argOff is the carve cursor.
-	// One allocation for all live call sites instead of one per call.
-	argArena []Value
-	argOff   int
+	// args holds the argument values of the call whose site id is
+	// firstSite+i at index i, nil when that call is unreachable. Lowering
+	// numbers a function's call sites densely, so the lookup is an index,
+	// not a hash. The vectors are carved from one arena the Result owns:
+	// callers keep them by reference.
+	firstSite int
+	args      [][]Value
 }
 
 // EdgeFeasible reports whether the i'th successor edge of b can execute.
@@ -165,7 +168,32 @@ func (r *Result) EdgeFeasible(b *ir.Block, i int) bool {
 
 // CallArgs returns the abstract values of the call's arguments at the call
 // site, or nil when the call is unreachable.
-func (r *Result) CallArgs(c *ir.Call) []Value { return r.callArgs[c] }
+func (r *Result) CallArgs(c *ir.Call) []Value {
+	if i := c.Site - r.firstSite; i >= 0 && i < len(r.args) {
+		return r.args[i]
+	}
+	return nil
+}
+
+// Scratch is the working memory of Analyze: the value arena that holds
+// the block environments, the worklist and the worklist's membership
+// flags. A caller that runs many solves passes one Scratch to each, so a
+// warm solve allocates only its Result. The zero value is ready to use;
+// a Scratch must not be used by two solves at once.
+type Scratch struct {
+	vals     []Value // the transfer environment, then one inbound environment per block
+	worklist []*ir.Block
+	flags    []bool // in-worklist flags, then the visited block's edge feasibility
+}
+
+// resize returns buf with length n, reusing its backing array when it is
+// large enough. The contents are left as they were.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
 // absent marks a local with no binding yet in an environment — the
 // analogue of a missing map key in a map-based environment. It is
@@ -180,22 +208,20 @@ func clearEnv(env []Value) {
 	}
 }
 
-// Analyze runs conditional constant propagation on f. params provides the
-// abstract values of f.Params (missing entries default to Varies).
+// Analyze runs conditional constant propagation on f, using s as its
+// working memory. params provides the abstract values of f.Params
+// (missing entries default to Varies).
 //
 // Environments are flat slices indexed by Local.Index (dense per
 // function), so block transfer and meet are O(locals) array walks with no
 // hashing; the worklist pops with an index cursor instead of re-slicing.
-func Analyze(f *ir.Func, params []Value, cfg Config) *Result {
+func Analyze(f *ir.Func, params []Value, cfg Config, s *Scratch) *Result {
 	nb := len(f.Blocks)
-	r := &Result{
-		fn:        f,
-		blockLive: make([]bool, nb),
-		succOff:   make([]int, nb+1),
-	}
+	r := &Result{}
 	if nb == 0 {
 		return r
 	}
+	r.succOff = make([]int, nb+1)
 	maxSuccs := 0
 	for i, b := range f.Blocks {
 		r.succOff[i+1] = r.succOff[i] + len(b.Succs)
@@ -203,24 +229,24 @@ func Analyze(f *ir.Func, params []Value, cfg Config) *Result {
 			maxSuccs = len(b.Succs)
 		}
 	}
-	// One []bool arena backs edge liveness, the in-worklist flags, and the
-	// per-edge feasibility scratch; one []Value arena backs the scratch
-	// environment and every block's inbound environment. Environments are
-	// carved from the arena on a block's first visit, so an Analyze call
-	// makes a constant number of allocations regardless of CFG size.
 	ne := r.succOff[nb]
-	bools := make([]bool, ne+nb+maxSuccs)
-	r.edgeLive = bools[:ne:ne]
-	inList := bools[ne : ne+nb]
-	scratch := bools[ne+nb:]
+	live := make([]bool, nb+ne)
+	r.blockLive = live[:nb:nb]
+	r.edgeLive = live[nb:]
+
+	// The scratch value arena holds the transfer environment at
+	// [0, nl) and block b's inbound environment at [(b+1)*nl, (b+2)*nl),
+	// filled on the block's first visit, so a warm solve allocates
+	// nothing but its Result, regardless of CFG size.
+	s.flags = resize(s.flags, nb+maxSuccs)
+	inList := s.flags[:nb]
+	clear(inList)
+	feasibleBuf := s.flags[nb:]
 
 	nl := len(f.Locals)
-	arena := make([]Value, (nb+1)*nl)
-	env := arena[:nl] // scratch, overwritten per block visit
-	clearEnv(env)
-
-	in := make([][]Value, nb)
-	env0 := arena[nl : 2*nl]
+	s.vals = resize(s.vals, (nb+1)*nl)
+	env := s.vals[:nl] // overwritten from a block's inbound environment before each transfer
+	env0 := s.vals[nl : 2*nl]
 	clearEnv(env0)
 	if f.This != nil {
 		env0[f.This.Index] = NonNullVal()
@@ -232,11 +258,9 @@ func Analyze(f *ir.Func, params []Value, cfg Config) *Result {
 		}
 		env0[p.Index] = v
 	}
-	in[0] = env0
 	r.blockLive[0] = true
 
-	worklist := make([]*ir.Block, 1, nb)
-	worklist[0] = f.Blocks[0]
+	worklist := append(s.worklist[:0], f.Blocks[0])
 	head := 0
 	inList[0] = true
 
@@ -250,57 +274,65 @@ func Analyze(f *ir.Func, params []Value, cfg Config) *Result {
 		}
 		inList[b.Index] = false
 
-		copy(env, in[b.Index])
-		feasible := transferBlock(b, env, cfg, nil, scratch)
-		for i, s := range b.Succs {
+		copy(env, s.vals[(b.Index+1)*nl:(b.Index+2)*nl])
+		feasible := transferBlock(b, env, cfg, nil, feasibleBuf)
+		for i, succ := range b.Succs {
 			if !feasible[i] {
 				continue
 			}
 			r.edgeLive[r.succOff[b.Index]+i] = true
-			changed := false
-			if in[s.Index] == nil {
-				slot := arena[(1+s.Index)*nl : (2+s.Index)*nl]
-				copy(slot, env)
-				in[s.Index] = slot
-				changed = true
+			in := s.vals[(succ.Index+1)*nl : (succ.Index+2)*nl]
+			changed := true
+			if r.blockLive[succ.Index] {
+				changed = meetInto(in, env)
 			} else {
-				changed = meetInto(in[s.Index], env)
+				copy(in, env)
+				r.blockLive[succ.Index] = true
 			}
-			if !r.blockLive[s.Index] || changed {
-				r.blockLive[s.Index] = true
-				if !inList[s.Index] {
-					worklist = append(worklist, s)
-					inList[s.Index] = true
-				}
+			if changed && !inList[succ.Index] {
+				worklist = append(worklist, succ)
+				inList[succ.Index] = true
 			}
 		}
 	}
+	s.worklist = worklist
 
 	// Final pass: record abstract argument values at every live call site.
-	// Size the argument arena and the callArgs map first so recording
+	// Size the site index and the argument arena first, so recording
 	// allocates nothing per call.
-	nCalls, nArgs := 0, 0
+	firstSite, lastSite, nArgs := -1, -1, 0
 	for _, b := range f.Blocks {
-		if !r.blockLive[b.Index] || in[b.Index] == nil {
+		if !r.blockLive[b.Index] {
 			continue
 		}
 		for _, instr := range b.Instrs {
 			if c, ok := instr.(*ir.Call); ok {
-				nCalls++
+				if firstSite < 0 || c.Site < firstSite {
+					firstSite = c.Site
+				}
+				lastSite = max(lastSite, c.Site)
 				nArgs += len(c.Args)
 			}
 		}
 	}
-	if nCalls > 0 {
-		r.callArgs = make(map[*ir.Call][]Value, nCalls)
-		r.argArena = make([]Value, nArgs)
-		for _, b := range f.Blocks {
-			if !r.blockLive[b.Index] || in[b.Index] == nil {
-				continue
-			}
-			copy(env, in[b.Index])
-			transferBlock(b, env, cfg, r, scratch)
+	if firstSite < 0 {
+		return r
+	}
+	r.firstSite = firstSite
+	r.args = make([][]Value, lastSite-firstSite+1)
+	argArena := make([]Value, nArgs)
+	for _, b := range f.Blocks {
+		if !r.blockLive[b.Index] {
+			continue
 		}
+		for _, instr := range b.Instrs {
+			if c, ok := instr.(*ir.Call); ok {
+				n := len(c.Args)
+				r.args[c.Site-firstSite], argArena = argArena[:n:n], argArena[n:]
+			}
+		}
+		copy(env, s.vals[(b.Index+1)*nl:(b.Index+2)*nl])
+		transferBlock(b, env, cfg, r, feasibleBuf)
 	}
 	return r
 }
@@ -333,8 +365,8 @@ func meetInto(dst, src []Value) bool {
 
 // transferBlock interprets b's instructions over env, returning per-edge
 // feasibility for its successors (aliasing the scratch buffer). When rec
-// is non-nil, call-site argument values are carved from rec.argArena and
-// stored into rec.callArgs.
+// is non-nil, call-site argument values are written into the vectors
+// already carved for them in rec.args.
 func transferBlock(b *ir.Block, env []Value, cfg Config, rec *Result, scratch []bool) []bool {
 	feasible := scratch[:len(b.Succs)]
 	for i := range feasible {
@@ -367,12 +399,10 @@ func transferBlock(b *ir.Block, env []Value, cfg Config, rec *Result, scratch []
 			}
 		case *ir.Call:
 			if rec != nil {
-				args := rec.argArena[rec.argOff : rec.argOff+len(instr.Args) : rec.argOff+len(instr.Args)]
-				rec.argOff += len(instr.Args)
+				args := rec.args[instr.Site-rec.firstSite]
 				for i, a := range instr.Args {
 					args[i] = operandVal(a, env)
 				}
-				rec.callArgs[instr] = args
 			}
 			if instr.Dst != nil {
 				if cfg.AssumeSecurityManager && cfg.IsGetSecurityManager != nil && cfg.IsGetSecurityManager(instr) {

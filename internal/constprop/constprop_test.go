@@ -1,6 +1,7 @@
 package constprop
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -47,7 +48,7 @@ func TestConstantFoldingPrunesBranch(t *testing.T) {
 int x = 3;
 if (x > 2) { f = 1; } else { f = 2; }
 `, "")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	if liveCount(f, r) == len(f.Blocks) {
 		t.Errorf("no block pruned:\n%s", f.Dump())
 	}
@@ -57,7 +58,7 @@ func TestUnknownConditionKeepsBothBranches(t *testing.T) {
 	f := lowerFunc(t, `
 if (cond) { f = 1; } else { f = 2; }
 `, "boolean cond")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	if liveCount(f, r) != len(f.Blocks) {
 		t.Errorf("block wrongly pruned:\n%s", f.Dump())
 	}
@@ -69,16 +70,16 @@ if (handler != null) { f = 1; }
 f = 2;
 `, "Object handler")
 	// Without binding: both branches live.
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	all := liveCount(f, r)
 	// With null binding: the guarded branch dies (Figure 4's mechanism).
-	rn := Analyze(f, []Value{NullVal()}, Config{})
+	rn := Analyze(f, []Value{NullVal()}, Config{}, new(Scratch))
 	if liveCount(f, rn) >= all {
 		t.Errorf("null param binding pruned nothing (%d vs %d)", liveCount(f, rn), all)
 	}
 	// With non-null binding: the guard's false EDGE dies (the join block
 	// stays live through the then-branch).
-	rv := Analyze(f, []Value{NonNullVal()}, Config{})
+	rv := Analyze(f, []Value{NonNullVal()}, Config{}, new(Scratch))
 	var ifBlock *ir.Block
 	for _, b := range f.Blocks {
 		if _, ok := b.Term().(*ir.If); ok {
@@ -99,7 +100,7 @@ func TestCallArgsRecorded(t *testing.T) {
 callee(null, 3 + 4);
 callee(new Object(), y);
 `, "int y")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	var calls []*ir.Call
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -121,13 +122,66 @@ callee(new Object(), y);
 	}
 }
 
+// TestScratchReuseMatchesFresh solves functions of different shapes in
+// turn on one Scratch and requires each result to equal a solve on a
+// fresh Scratch: nothing a solve leaves in the scratch may leak into the
+// next. The order is chosen so that stale state would show: a function
+// with more blocks follows one whose edge-feasibility flags sit where its
+// worklist flags go, and a function that reads a local only one path
+// assigns follows one whose constants fill the arena.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	type solve struct {
+		f      *ir.Func
+		params []Value
+	}
+	branchy := lowerFunc(t, `
+if (handler != null) { callee(handler, 1); f = 1; }
+callee(null, f);
+`, "Object handler")
+	loopy := lowerFunc(t, `
+int i = 0;
+while (i < n) { if (i == 3) { callee(null, i); } i = i + 1; }
+callee(new Object(), i);
+`, "int n")
+	constants := lowerFunc(t, `
+int a = 5; int b = 6; int c = 7; int d = 8;
+if (a < b) { callee(null, c + d); }
+`, "")
+	partial := lowerFunc(t, `
+int x;
+if (k > 0) { x = 1; }
+callee(null, x);
+`, "int k")
+	empty := lowerFunc(t, ``, "")
+	solves := []solve{
+		{loopy, nil},
+		{branchy, []Value{NullVal()}},
+		{loopy, nil},
+		{constants, nil},
+		{partial, nil},
+		{empty, nil},
+		{branchy, []Value{NonNullVal()}},
+		{constants, nil},
+		{loopy, []Value{IntVal(0)}},
+		{partial, nil},
+	}
+	var shared Scratch
+	for i, s := range solves {
+		got := Analyze(s.f, s.params, Config{}, &shared)
+		want := Analyze(s.f, s.params, Config{}, new(Scratch))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("solve %d on a reused scratch = %+v, fresh = %+v", i, got, want)
+		}
+	}
+}
+
 func TestLoopWidensToVaries(t *testing.T) {
 	f := lowerFunc(t, `
 int i = 0;
 while (i < n) { i = i + 1; }
 callee(null, i);
 `, "int n")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	var call *ir.Call
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -147,7 +201,7 @@ func TestInstanceofNullFoldsFalse(t *testing.T) {
 Object o = null;
 if (o instanceof C) { f = 1; } else { f = 2; }
 `, "")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	if liveCount(f, r) == len(f.Blocks) {
 		t.Errorf("null instanceof not folded:\n%s", f.Dump())
 	}
@@ -158,7 +212,7 @@ func TestStringEqualityFolds(t *testing.T) {
 String s = "a";
 if (s == null) { f = 1; } else { f = 2; }
 `, "")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	if liveCount(f, r) == len(f.Blocks) {
 		t.Errorf("string-null comparison not folded:\n%s", f.Dump())
 	}

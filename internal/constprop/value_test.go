@@ -71,7 +71,7 @@ int v = a[0];
 Object o = (Object) null;
 if (o == null) { f = 1; } else { f = 2; }
 `, "")
-	r := Analyze(f, nil, Config{})
+	r := Analyze(f, nil, Config{}, new(Scratch))
 	// The cast preserves null, so the else branch is dead.
 	if liveCount(f, r) == len(f.Blocks) {
 		t.Errorf("cast-preserved null not folded:\n%s", f.Dump())
