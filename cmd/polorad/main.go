@@ -16,7 +16,9 @@
 //	-cache N          in-memory policy-blob LRU entries (0 disables, default
 //	                  128); an entry holds a blob and its digest; cached
 //	                  diff reports total at most the resident blobs' bytes,
-//	                  so 0 disables them too
+//	                  so 0 disables them too; N also bounds the revision
+//	                  records PUT keeps, one per library name, so that a
+//	                  name's next PUT parses only changed files
 //	-domains ids      comma-separated check-domain IDs to serve (default:
 //	                  every registered domain); requests naming another
 //	                  domain fail with the stable unknown_domain code
@@ -77,7 +79,7 @@ func main() {
 	storeDir := flag.String("store", "polorad-store", "policy store directory")
 	parallel := flag.Int("parallel", 0, "oracle extraction workers per analysis mode (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 2, "concurrent extractions across distinct fingerprints")
-	cache := flag.Int("cache", 128, "in-memory policy-blob LRU entries (0 disables the cache); an entry holds a blob and its digest; cached diff reports total at most the resident blobs' bytes")
+	cache := flag.Int("cache", 128, "in-memory policy-blob LRU entries (0 disables the cache); an entry holds a blob and its digest; cached diff reports total at most the resident blobs' bytes; it also bounds the revision records PUT keeps, one per library name")
 	domains := flag.String("domains", "", "comma-separated check-domain IDs to serve (empty = all registered)")
 	logFormat := flag.String("log-format", "text", "structured log output: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")

@@ -65,6 +65,9 @@ func (ds *Diagnostics) All() []Diagnostic {
 	return out
 }
 
+// Len returns the number of diagnostics recorded.
+func (ds *Diagnostics) Len() int { return len(ds.list) }
+
 // HasErrors reports whether any Error-severity diagnostic was recorded.
 func (ds *Diagnostics) HasErrors() bool {
 	for _, d := range ds.list {

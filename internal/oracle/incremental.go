@@ -46,7 +46,8 @@ type IncrementalStats struct {
 	Full bool
 }
 
-// ExtractIncremental loads sources under prev's name and extracts
+// ExtractIncremental loads sources under prev's name, reusing prev's
+// parse of every unchanged file (see LoadRevision), and extracts
 // policies for them, reusing prev's per-entry policies wherever prev's
 // dependency sets and method hashes prove the analysis inputs are
 // unchanged. The returned library's policies are byte-identical (in the
@@ -61,7 +62,7 @@ func ExtractIncremental(prev *Library, sources map[string]string, opts Options) 
 	if prev == nil || prev.Policies == nil {
 		return nil, nil, ErrNoPrevious
 	}
-	lib, err := LoadLibrary(prev.Name, sources)
+	lib, err := LoadRevision(prev.Name, sources, prev.Parsed)
 	if err != nil {
 		return nil, nil, err
 	}

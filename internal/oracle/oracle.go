@@ -112,6 +112,10 @@ type Library struct {
 	MayStats, MustStats analysis.Stats
 	MayTime, MustTime   time.Duration
 	Diags               *lang.Diagnostics
+	// Parsed holds the parse result of every source file whose parse
+	// recorded no diagnostic, sorted by path: what LoadRevision reuses
+	// when it loads a later revision. The program shares its ASTs.
+	Parsed []ParsedFile
 
 	// domain is the check domain of the last extraction, the one its
 	// method hashes are read under.
@@ -169,21 +173,59 @@ func (l *Library) eventInterns() *secmodel.ProgramEvents {
 	return l.events
 }
 
+// ParsedFile is one source file's parse result, the unit LoadRevision
+// reuses from a library's previous revision. A parse depends only on the
+// file's path and text, and nothing writes to an AST after its parse, so
+// the result is valid for any revision holding the same file.
+type ParsedFile struct {
+	Path  string
+	Src   string
+	AST   *ast.File
+	NCLoC int
+}
+
 // LoadLibrary parses and builds one implementation from named sources
 // (file name → MJ source text).
 func LoadLibrary(name string, sources map[string]string) (*Library, error) {
-	diags := &lang.Diagnostics{}
-	var files []*ast.File
-	ncloc := 0
+	return LoadRevision(name, sources, nil)
+}
+
+// LoadRevision is LoadLibrary for a new revision of a library whose
+// previous revision parsed into prev (that revision's Library.Parsed):
+// every file whose path and text are unchanged reuses its parse result,
+// and only the others are parsed. Only parses that recorded no
+// diagnostic are offered for reuse, so the diagnostics, positions and
+// load errors are exactly a cold load's.
+func LoadRevision(name string, sources map[string]string, prev []ParsedFile) (*Library, error) {
+	var reuse map[string]ParsedFile
+	if len(prev) > 0 {
+		reuse = make(map[string]ParsedFile, len(prev))
+		for _, pf := range prev {
+			reuse[pf.Path] = pf
+		}
+	}
 	names := make([]string, 0, len(sources))
 	for n := range sources {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	diags := &lang.Diagnostics{}
+	files := make([]*ast.File, 0, len(names))
+	parsed := make([]ParsedFile, 0, len(names))
+	ncloc := 0
 	for _, n := range names {
 		src := sources[n]
-		files = append(files, parser.ParseFile(n, src, diags))
-		ncloc += CountNCLoC(src)
+		pf, ok := reuse[n]
+		if !ok || pf.Src != src {
+			before := diags.Len()
+			pf = ParsedFile{Path: n, Src: src, AST: parser.ParseFile(n, src, diags), NCLoC: CountNCLoC(src)}
+			ok = diags.Len() == before
+		}
+		files = append(files, pf.AST)
+		ncloc += pf.NCLoC
+		if ok {
+			parsed = append(parsed, pf)
+		}
 	}
 	tp := types.Build(name, files, diags)
 	prog := ir.LowerProgram(tp, diags)
@@ -196,6 +238,7 @@ func LoadLibrary(name string, sources map[string]string) (*Library, error) {
 		Resolver: callgraph.NewResolver(prog),
 		NCLoC:    ncloc,
 		Diags:    diags,
+		Parsed:   parsed,
 	}, nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 
+	"policyoracle/internal/jsonwrite"
 	"policyoracle/internal/policy"
+	"policyoracle/internal/secmodel"
 )
 
 // A snapshot is the persisted form of one extraction that a later
@@ -68,9 +70,29 @@ func (l *Library) ExportSnapshot() ([]byte, error) {
 	return snap.Encode()
 }
 
-// Encode renders the snapshot in its stable on-disk form.
+// Encode renders the snapshot in its stable on-disk form: the bytes
+// json.MarshalIndent(s, "", "  ") renders, written without reflection.
 func (s *Snapshot) Encode() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
+	var w jsonwrite.Indent
+	w.BeginObject()
+	w.Key("version")
+	w.Int(int64(s.Version))
+	w.Key("library")
+	w.String(s.Library)
+	w.Key("options")
+	w.String(s.Options)
+	w.Key("methodHashes")
+	w.StringMap(s.MethodHashes)
+	w.Key("entryDeps")
+	w.StringsMap(s.EntryDeps)
+	if len(s.Policies) > 0 {
+		w.Key("policies")
+		if err := w.Raw(s.Policies); err != nil {
+			return nil, fmt.Errorf("oracle: encoding snapshot policies: %w", err)
+		}
+	}
+	w.EndObject()
+	return w.Bytes(), nil
 }
 
 // DecodeSnapshot parses and validates a snapshot produced by Encode.
@@ -108,16 +130,35 @@ func (s *Snapshot) ToLibrary() (*Library, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: snapshot policies for %s: %w", s.Library, err)
 	}
+	// Imported policies went through the wire format, which drops display
+	// data, so the restored key pins paths/guards off.
+	return seedView(s.Library, pp, s.EntryDeps, s.Options+" paths=false guards=false", d, s.MethodHashes), nil
+}
+
+// SeedView returns the library's last extraction without its program:
+// the same fields Snapshot.ToLibrary restores from disk (policies, entry
+// dependency sets, method hashes under the extraction's domain and the
+// option key), taken from memory. An incremental extraction seeds from
+// it as from a restored snapshot. Nil if the library was never
+// extracted.
+func (l *Library) SeedView() *Library {
+	if l.Policies == nil {
+		return nil
+	}
+	return seedView(l.Name, l.Policies, l.EntryDeps, l.ExtractedOpts, l.domain, l.hashes())
+}
+
+// seedView builds a program-less library that carries one extraction's
+// incremental state; its hash cache holds hashes under domain d.
+func seedView(name string, pp *policy.ProgramPolicies, deps map[string][]string, key string, d *secmodel.Domain, hashes map[string]string) *Library {
 	return &Library{
-		Name:      s.Library,
-		Policies:  pp,
-		EntryDeps: s.EntryDeps,
-		// Imported policies went through the wire format, which drops
-		// display data, so the restored key pins paths/guards off.
-		ExtractedOpts: s.Options + " paths=false guards=false",
+		Name:          name,
+		Policies:      pp,
+		EntryDeps:     deps,
+		ExtractedOpts: key,
 		domain:        d,
-		hashCache:     map[string]map[string]string{d.ID(): s.MethodHashes},
-	}, nil
+		hashCache:     map[string]map[string]string{d.ID(): hashes},
+	}
 }
 
 // ImportSnapshot decodes a snapshot and reconstructs the library view an

@@ -5,9 +5,11 @@ import "container/list"
 // lru is a map in least-recently-used order whose entries carry a size,
 // with the running total of the sizes resident. It keeps no bound of its
 // own: its owner evicts the oldest entries until the bound it keeps holds.
-// The Store runs two: policy blobs by fingerprint, bounded by entry count,
-// and diff reports by blob digests, bounded by the blobs' bytes. It is not
-// safe for concurrent use; the Store serializes access under its mutex.
+// The Store runs three: policy blobs by fingerprint, bounded by entry
+// count; diff reports by blob digests, bounded by the blobs' bytes; and
+// revision records by library name, bounded by the blobs' entry count.
+// It is not safe for concurrent use; the Store serializes access under
+// its mutex.
 type lru[K comparable, V any] struct {
 	bytes int        // total size of the resident entries
 	order *list.List // front = most recently used
@@ -32,6 +34,16 @@ func (c *lru[K, V]) get(k K) (V, bool) {
 		return zero, false
 	}
 	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
+}
+
+// peek returns k's value without making it more recently used.
+func (c *lru[K, V]) peek(k K) (V, bool) {
+	el, ok := c.items[k]
+	if !ok {
+		var zero V
+		return zero, false
+	}
 	return el.Value.(*lruEntry[K, V]).val, true
 }
 

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestLRU drives the one LRU type both caches run on: each step puts or
-// gets a key or evicts the oldest entry, and the cache must then hold
+// TestLRU drives the one LRU type the store's caches run on: each step
+// puts, gets or peeks at a key or evicts the oldest entry, and the cache must then hold
 // exactly the keys listed, most recently used first, with their values
 // and the sizes summed.
 func TestLRU(t *testing.T) {
 	type step struct {
-		op        string // "put", "get" or "evict"
+		op        string // "put", "get", "peek" or "evict"
 		key       string
 		val, size int
 		// want is the resident keys, most recently used first, and
@@ -43,6 +43,13 @@ func TestLRU(t *testing.T) {
 			{op: "evict", want: []string{"a"}, bytes: 1},
 			{op: "evict", want: nil, bytes: 0},
 		}},
+		{"peek keeps the order", []step{
+			{op: "put", key: "a", val: 1, size: 1, want: []string{"a"}, bytes: 1},
+			{op: "put", key: "b", val: 2, size: 2, want: []string{"b", "a"}, bytes: 3},
+			{op: "peek", key: "a", want: []string{"b", "a"}, bytes: 3},
+			{op: "peek", key: "c", want: []string{"b", "a"}, bytes: 3},
+			{op: "evict", want: []string{"b"}, bytes: 2},
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -53,10 +60,14 @@ func TestLRU(t *testing.T) {
 				case "put":
 					l.put(s.key, s.val, s.size)
 					vals[s.key] = s.val
-				case "get":
-					v, ok := l.get(s.key)
+				case "get", "peek":
+					get := l.get
+					if s.op == "peek" {
+						get = l.peek
+					}
+					v, ok := get(s.key)
 					if ok != slices.Contains(s.want, s.key) || ok && v != vals[s.key] {
-						t.Fatalf("step %d: get(%q) = %d, %v", i, s.key, v, ok)
+						t.Fatalf("step %d: %s(%q) = %d, %v", i, s.op, s.key, v, ok)
 					}
 				case "evict":
 					l.evictOldest()

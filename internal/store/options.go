@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"policyoracle/internal/analysis"
+	"policyoracle/internal/jsonwrite"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/secmodel"
 )
@@ -32,6 +33,37 @@ type OptionsWire struct {
 	MaxDepth *int `json:"maxDepth,omitempty"`
 	// Modes restricts extraction to "may" or "must" only; empty means both.
 	Modes []string `json:"modes,omitempty"`
+}
+
+// write renders the options as encoding/json renders them under their
+// struct tags, each empty field omitted.
+func (w OptionsWire) write(out *jsonwrite.Indent) {
+	out.BeginObject()
+	if w.Domain != "" {
+		out.Key("domain")
+		out.String(w.Domain)
+	}
+	if w.Events != "" {
+		out.Key("events")
+		out.String(w.Events)
+	}
+	if w.NoICP {
+		out.Key("noICP")
+		out.Bool(true)
+	}
+	if w.NoAssumeSM {
+		out.Key("noAssumeSM")
+		out.Bool(true)
+	}
+	if w.MaxDepth != nil {
+		out.Key("maxDepth")
+		out.Int(int64(*w.MaxDepth))
+	}
+	if len(w.Modes) > 0 {
+		out.Key("modes")
+		out.Strings(w.Modes)
+	}
+	out.EndObject()
 }
 
 // ToOracle resolves the wire options onto oracle.DefaultOptions and

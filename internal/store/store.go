@@ -65,6 +65,7 @@ import (
 	"time"
 
 	"policyoracle/internal/diff"
+	"policyoracle/internal/jsonwrite"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
 	"policyoracle/internal/secmodel"
@@ -91,9 +92,11 @@ type Config struct {
 	Dir string
 	// CacheEntries caps the in-memory blob LRU: 0 means the default of
 	// 128, and a negative value disables the in-memory cache entirely
-	// (every read is served from disk or extraction, and no diff report
-	// is cached). An entry holds a blob and its digest. The diff reports
-	// DiffWire caches total at most the bytes of the resident blobs.
+	// (every read is served from disk or extraction, no diff report is
+	// cached and Update keeps no revision record). An entry holds a blob
+	// and its digest. The diff reports DiffWire caches total at most the
+	// bytes of the resident blobs, and Update keeps at most this many
+	// revision records, one per library name (see Update).
 	CacheEntries int
 	// Parallel is the oracle worker count per extraction
 	// (oracle.Options.Parallel; <= 0 means GOMAXPROCS).
@@ -168,11 +171,12 @@ type Store struct {
 	sums     *oracle.SummaryCache
 	log      *slog.Logger
 
-	mu       sync.Mutex
-	capacity int                     // cache's entry bound; <= 0 disables both caches
-	cache    *lru[string, blobRef]   // by fingerprint, sized by blob bytes
-	reports  *lru[reportKey, report] // bounded by cache.bytes
-	flight   map[string]*flightCall
+	mu        sync.Mutex
+	capacity  int                     // entry bound of cache and revisions; <= 0 disables all three
+	cache     *lru[string, blobRef]   // by fingerprint, sized by blob bytes
+	reports   *lru[reportKey, report] // bounded by cache.bytes
+	revisions *lru[string, revision]  // by library name, least recently updated last
+	flight    map[string]*flightCall
 
 	// namesMu serializes read-modify-write cycles on names.json; it is
 	// separate from mu so index writes never block cache reads.
@@ -184,10 +188,11 @@ type Store struct {
 	updateMu    sync.Mutex
 	updateLocks map[string]*sync.Mutex
 
-	// load runs the frontend on one bundle's sources, and extract
-	// extracts a bundle's policies (see extractLibrary for its library
-	// arguments); tests may wrap either.
-	load    func(name string, sources map[string]string) (*oracle.Library, error)
+	// load runs the frontend on one bundle's sources, reusing the parse
+	// results it is given (see oracle.LoadRevision), and extract extracts
+	// a bundle's policies (see extractLibrary for its library arguments);
+	// tests may wrap either.
+	load    func(name string, sources map[string]string, prev []oracle.ParsedFile) (*oracle.Library, error)
 	extract func(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (*oracle.Library, *oracle.IncrementalStats, error)
 }
 
@@ -251,10 +256,11 @@ func Open(cfg Config) (*Store, error) {
 		capacity:    cfg.CacheEntries,
 		cache:       newLRU[string, blobRef](),
 		reports:     newLRU[reportKey, report](),
+		revisions:   newLRU[string, revision](),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
 	}
-	s.load, s.extract = oracle.LoadLibrary, s.extractLibrary
+	s.load, s.extract = oracle.LoadRevision, s.extractLibrary
 	return s, nil
 }
 
@@ -301,12 +307,13 @@ func (s *Store) SaveCampaign(id string, result []byte) (string, error) {
 // Put fingerprints and persists a bundle, returning its address. A
 // re-upload of existing content is a no-op with created == false.
 func (s *Store) Put(name string, sources map[string]string, w OptionsWire) (fp string, created bool, err error) {
-	fp, created, _, err = s.put(name, sources, w)
+	fp, created, _, err = s.put(name, sources, w, nil)
 	return fp, created, err
 }
 
-// put is Put, also returning the library its validation loaded.
-func (s *Store) put(name string, sources map[string]string, w OptionsWire) (fp string, created bool, lib *oracle.Library, err error) {
+// put is Put, also returning the library its validation loaded, which
+// reuses the parse results prev holds of unchanged files.
+func (s *Store) put(name string, sources map[string]string, w OptionsWire, prev []oracle.ParsedFile) (fp string, created bool, lib *oracle.Library, err error) {
 	if name == "" {
 		return "", false, nil, fmt.Errorf("store: %w: empty library name", ErrInvalid)
 	}
@@ -321,7 +328,7 @@ func (s *Store) put(name string, sources map[string]string, w OptionsWire) (fp s
 	}
 	// Reject bundles that don't load: a broken upload should fail at Put,
 	// not poison every later extraction of its fingerprint.
-	if lib, err = s.load(name, sources); err != nil {
+	if lib, err = s.load(name, sources, prev); err != nil {
 		return "", false, nil, fmt.Errorf("store: %w: bundle does not load: %v", ErrInvalid, err)
 	}
 	fp = oracle.Fingerprint(name, sources, opts)
@@ -332,13 +339,8 @@ func (s *Store) put(name string, sources map[string]string, w OptionsWire) (fp s
 		}
 		return fp, false, lib, nil
 	}
-	data, err := json.MarshalIndent(&Bundle{
-		Fingerprint: fp, Name: name, Options: w, Sources: sources,
-	}, "", "  ")
-	if err != nil {
-		return "", false, nil, fmt.Errorf("store: %w", err)
-	}
-	if err := WriteAtomic(path, data); err != nil {
+	b := &Bundle{Fingerprint: fp, Name: name, Options: w, Sources: sources}
+	if err := WriteAtomic(path, b.encode()); err != nil {
 		return "", false, nil, fmt.Errorf("store: %w", err)
 	}
 	s.tm.Bundles.Inc()
@@ -384,14 +386,36 @@ func (s *Store) setLatestFingerprint(name, fp string) error {
 		return nil
 	}
 	names[name] = fp
-	data, err := json.MarshalIndent(names, "", "  ")
-	if err == nil {
-		err = WriteAtomic(s.namesPath(), data)
-	}
-	if err != nil {
+	if err := WriteAtomic(s.namesPath(), encodeNames(names)); err != nil {
 		return fmt.Errorf("store: writing name index: %w", err)
 	}
 	return nil
+}
+
+// encodeNames renders the name index as it is persisted: the bytes
+// json.MarshalIndent(names, "", "  ") renders, written without
+// reflection.
+func encodeNames(names map[string]string) []byte {
+	var w jsonwrite.Indent
+	w.StringMap(names)
+	return w.Bytes()
+}
+
+// encode renders the bundle as it is persisted: the bytes
+// json.MarshalIndent(b, "", "  ") renders, written without reflection.
+func (b *Bundle) encode() []byte {
+	var w jsonwrite.Indent
+	w.BeginObject()
+	w.Key("fingerprint")
+	w.String(b.Fingerprint)
+	w.Key("name")
+	w.String(b.Name)
+	w.Key("options")
+	b.Options.write(&w)
+	w.Key("sources")
+	w.StringMap(b.Sources)
+	w.EndObject()
+	return w.Bytes()
 }
 
 // readNames loads the name index; callers hold namesMu. A missing file
@@ -446,10 +470,8 @@ func (s *Store) rebuildNames() map[string]string {
 		}
 	}
 	if len(names) > 0 {
-		if data, err := json.MarshalIndent(names, "", "  "); err == nil {
-			if err := WriteAtomic(s.namesPath(), data); err != nil {
-				s.log.Warn("store: persisting rebuilt name index failed", "err", err)
-			}
+		if err := WriteAtomic(s.namesPath(), encodeNames(names)); err != nil {
+			s.log.Warn("store: persisting rebuilt name index failed", "err", err)
 		}
 	}
 	s.log.Info("store: name index rebuilt", "libraries", len(names))
@@ -613,7 +635,7 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (b
 	if err != nil {
 		return blobRef{}, err
 	}
-	ref, _, err := s.extractAndPersist(ctx, b, nil, nil)
+	ref, _, _, err := s.extractAndPersist(ctx, b, nil, nil)
 	return ref, err
 }
 
@@ -689,8 +711,9 @@ func (s *Store) persistBlob(fp string, ref blobRef) error {
 // validation loaded and the previous revision. In one of the store's
 // extraction slots it extracts b's policies (see extractLibrary), then
 // persists the policy blob with its digest and the incremental sidecar.
-// The stats are what the extraction measured.
-func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (blobRef, *oracle.IncrementalStats, error) {
+// It returns the blob, the extracted library and the stats the
+// extraction measured.
+func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *oracle.Library) (blobRef, *oracle.Library, *oracle.IncrementalStats, error) {
 	queued := time.Now()
 	select {
 	case s.sem <- struct{}{}:
@@ -700,11 +723,11 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 		// extraction slot granted, not per caller.
 		s.tm.QueueWait.ObserveDuration(time.Since(queued))
 	case <-ctx.Done():
-		return blobRef{}, nil, ctx.Err()
+		return blobRef{}, nil, nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	if err := ctx.Err(); err != nil {
-		return blobRef{}, nil, err
+		return blobRef{}, nil, nil, err
 	}
 	s.tm.Extractions.Inc()
 	fp := b.Fingerprint
@@ -717,19 +740,19 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 		s.tm.ExtractFailures.Inc()
 		s.log.Warn("store: extraction failed", "fingerprint", fp, "library", b.Name,
 			"duration", elapsed, "err", err)
-		return blobRef{}, nil, err
+		return blobRef{}, nil, nil, err
 	}
 	// The snapshot's policies are exactly ExportJSON's bytes: the blob.
 	snap, err := lib.Snapshot()
 	if err != nil {
-		return blobRef{}, nil, fmt.Errorf("store: bundle %s: %w", fp, err)
+		return blobRef{}, nil, nil, fmt.Errorf("store: bundle %s: %w", fp, err)
 	}
 	ref := refOf(snap.Policies)
 	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
 		"duration", elapsed, "bytes", len(ref.blob), "entries", st.Entries,
 		"reused", st.Reused, "reanalyzed", st.Reanalyzed)
 	if err := s.persistBlob(fp, ref); err != nil {
-		return blobRef{}, nil, fmt.Errorf("store: persisting policies: %w", err)
+		return blobRef{}, nil, nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
 	// The sidecar is best-effort: the blob is the source of truth, and a
 	// missing sidecar only forces the next update of this library through
@@ -742,7 +765,7 @@ func (s *Store) extractAndPersist(ctx context.Context, b *Bundle, lib, prev *ora
 	if err != nil {
 		s.log.Warn("store: writing incremental sidecar failed", "fingerprint", fp, "err", err)
 	}
-	return ref, st, nil
+	return ref, lib, st, nil
 }
 
 // fromBackends asks each configured backend for fp's blob, in order.
@@ -797,7 +820,7 @@ func (s *Store) extractLibrary(ctx context.Context, b *Bundle, lib, prev *oracle
 	// sidecar's.
 	opts.CollectPaths, opts.CollectGuards = false, false
 	if lib == nil {
-		if lib, err = s.load(b.Name, b.Sources); err != nil {
+		if lib, err = s.load(b.Name, b.Sources, nil); err != nil {
 			return nil, nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
 		}
 	}
