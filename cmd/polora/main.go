@@ -63,11 +63,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"policyoracle"
@@ -315,9 +312,12 @@ func cmdDiff(args []string) error {
 		return err
 	}
 	if cf.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep.ToJSON())
+		wire, err := rep.EncodeJSON()
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(wire)
+		return err
 	}
 	fmt.Printf("%s vs %s: %d matching entry points\n", rep.LibA, rep.LibB, rep.MatchingEntries)
 	fmt.Printf("%d distinct differences, %d manifestations\n\n", len(rep.Groups), rep.TotalManifestations())
@@ -745,7 +745,6 @@ func countCrashers(results []*campaign.Result) int {
 
 func cmdCorpus(args []string) error {
 	fs := flag.NewFlagSet("corpus", flag.ExitOnError)
-	parallel := fs.Int("parallel", 0, "concurrent file writers (0 = GOMAXPROCS, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -753,52 +752,16 @@ func cmdCorpus(args []string) error {
 		return fmt.Errorf("corpus: expected one output directory")
 	}
 	out := fs.Arg(0)
-	type job struct{ path, src string }
-	var jobs []job
 	for _, name := range policyoracle.BuiltinCorpora() {
 		for file, src := range policyoracle.BuiltinCorpus(name) {
-			jobs = append(jobs, job{filepath.Join(out, name, filepath.FromSlash(file)), src})
-		}
-	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		jobErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				err := os.MkdirAll(filepath.Dir(j.path), 0o755)
-				if err == nil {
-					err = os.WriteFile(j.path, []byte(j.src), 0o644)
-				}
-				if err != nil {
-					errOnce.Do(func() { jobErr = err })
-					return
-				}
+			path := filepath.Join(out, name, filepath.FromSlash(file))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if jobErr != nil {
-		return jobErr
-	}
-	for _, name := range policyoracle.BuiltinCorpora() {
+			if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+				return err
+			}
+		}
 		fmt.Printf("wrote %s/%s\n", out, name)
 	}
 	return nil

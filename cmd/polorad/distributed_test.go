@@ -200,7 +200,7 @@ func TestDistributedTierBatchMatchesCLI(t *testing.T) {
 	// replica can refetch blobs from replica 0 over /v1/blob). The same
 	// batch against the unchanged -remote list must detect the dead
 	// member, reroute, and reproduce identical bytes.
-	r := ring.New(peers, 0)
+	r := ring.New(peers)
 	victim := peers[1]
 	for _, it := range items {
 		if owner := r.Owner(it.RouteKey()); owner != peers[0] {

@@ -235,7 +235,7 @@ func (a *Analyzer) resolveSite(c *ir.Call) *types.Method {
 		}
 		return t
 	}
-	t := a.res.ResolveQuiet(c)
+	t := a.res.Resolve(c)
 	stored := t
 	if stored == nil {
 		stored = unresolvedSite

@@ -79,7 +79,7 @@ func (c *Client) Run(ctx context.Context, items []Item) ([]ItemResult, error) {
 	for i := range pending {
 		pending[i] = i
 	}
-	r := ring.New(c.Members, 0)
+	r := ring.New(c.Members)
 
 	// Round loop: route pending items to owners, execute the round's
 	// chunks concurrently, shrink the ring by the members that dropped

@@ -1,7 +1,7 @@
-// Package bitset provides a dense []uint64 bit set used by the analysis
-// hot path for dependency tracking and other id-indexed sets. Elements
-// are small non-negative integers (method ids, check ids, event ids);
-// all set operations run in O(words), not O(elements).
+// Package bitset provides a dense []uint64 bit set, which the analysis
+// hot path uses to track each entry point's dependency set by method id.
+// Elements are small non-negative integers; Len and Reset run in
+// O(words), and ForEach in O(words + elements).
 //
 // The zero value is an empty set. Sets grow on Add; they never shrink,
 // so a pooled set can be Reset and reused without reallocation.
@@ -33,37 +33,6 @@ func (s *Set) Add(i int) {
 	(*s)[w] |= 1 << uint(i%wordBits)
 }
 
-// Has reports whether i is in the set.
-func (s Set) Has(i int) bool {
-	if i < 0 {
-		return false
-	}
-	w := i / wordBits
-	return w < len(s) && s[w]&(1<<uint(i%wordBits)) != 0
-}
-
-// Remove deletes i from the set if present.
-func (s Set) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w := i / wordBits
-	if w < len(s) {
-		s[w] &^= 1 << uint(i%wordBits)
-	}
-}
-
-// IntersectWith removes from s every element not in t.
-func (s Set) IntersectWith(t Set) {
-	for w := range s {
-		if w < len(t) {
-			s[w] &= t[w]
-		} else {
-			s[w] = 0
-		}
-	}
-}
-
 // Len returns the number of elements in the set.
 func (s Set) Len() int {
 	n := 0
@@ -71,26 +40,6 @@ func (s Set) Len() int {
 		n += bits.OnesCount64(word)
 	}
 	return n
-}
-
-// Equal reports whether s and t contain the same elements, ignoring
-// trailing zero words.
-func (s Set) Equal(t Set) bool {
-	long, short := s, t
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	for w, word := range short {
-		if long[w] != word {
-			return false
-		}
-	}
-	for _, word := range long[len(short):] {
-		if word != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Reset clears the set in place, keeping its capacity.

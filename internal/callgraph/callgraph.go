@@ -23,7 +23,7 @@ type Resolver struct {
 	prog      *ir.Program
 	allocated map[*types.Class]bool
 
-	// Stats accumulate over all Resolve calls.
+	// Stats accumulate over all RecordOutcome calls.
 	resolved   atomic.Int64
 	unresolved atomic.Int64
 }
@@ -59,18 +59,9 @@ func (r *Resolver) ResolutionRate() float64 {
 	return float64(resolved) / float64(total)
 }
 
-// Resolve returns the unique target of the call, or nil when the site does
-// not resolve to exactly one target. Native targets are returned (they
-// have no bodies but are security-sensitive events).
-func (r *Resolver) Resolve(c *ir.Call) *types.Method {
-	m := r.resolve(c)
-	r.RecordOutcome(m != nil)
-	return m
-}
-
-// RecordOutcome counts one call-site resolution outcome. Callers that
-// resolve through ResolveQuiet and deduplicate sites themselves use this
-// to keep each site counted exactly once.
+// RecordOutcome counts one call-site resolution outcome. Resolve counts
+// nothing, so a caller that resolves one site many times (the analysis
+// resolves a site on every visit) counts it once itself.
 func (r *Resolver) RecordOutcome(resolved bool) {
 	if resolved {
 		r.resolved.Add(1)
@@ -79,11 +70,11 @@ func (r *Resolver) RecordOutcome(resolved bool) {
 	}
 }
 
-// ResolveQuiet is Resolve without statistics accounting (used by
-// baselines and diagnostics that should not skew the reported rate).
-func (r *Resolver) ResolveQuiet(c *ir.Call) *types.Method { return r.resolve(c) }
-
-func (r *Resolver) resolve(c *ir.Call) *types.Method {
+// Resolve returns the unique target of the call, or nil when the site does
+// not resolve to exactly one target. Native targets are returned (they
+// have no bodies but are security-sensitive events). It counts nothing:
+// see RecordOutcome.
+func (r *Resolver) Resolve(c *ir.Call) *types.Method {
 	switch c.Kind {
 	case ir.CallStatic, ir.CallSpecial:
 		return c.Declared

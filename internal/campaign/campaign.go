@@ -37,7 +37,9 @@ import (
 // campaign — what must match for two runs to produce identical results —
 // is (sources, Seed, Rounds, Mutations, ShardRounds, Uniform, Oracle
 // semantics, ParallelEvery, IncrementalEvery); Workers, OutDir, Metrics,
-// and Poll are execution strategy.
+// and Poll are execution strategy. RunRemote runs only campaigns whose
+// Oracle semantics, ParallelEvery, IncrementalEvery and Mutators are the
+// defaults a worker uses.
 type Options struct {
 	// Seed derives every shard's RNG and energy trajectory.
 	Seed int64

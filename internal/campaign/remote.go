@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"policyoracle/internal/oracle"
 	"policyoracle/internal/ring"
 )
 
@@ -77,10 +78,14 @@ func (e *Engine) shardRequest(shard int) *ShardRequest {
 // is still extracted locally — Merge and artifact writing need it — but
 // every round runs remotely. Worker dropout is survived by requeuing
 // the failed shard; the campaign errors only when every worker has been
-// dropped with shards still pending.
+// dropped with shards still pending. Options a worker cannot be told
+// (see remoteMismatch) fail the run before any worker is contacted.
 func RunRemote(ctx context.Context, name string, sources map[string]string, opts Options, workers []string) (*Result, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("campaign: remote run needs at least one worker")
+	}
+	if err := remoteMismatch(opts); err != nil {
+		return nil, err
 	}
 	e, err := NewEngine(name, sources, opts)
 	if err != nil {
@@ -163,6 +168,38 @@ func RunRemote(ctx context.Context, name string, sources map[string]string, opts
 		}
 	}
 	return res, nil
+}
+
+// remoteMismatch names the first part of a campaign's deterministic
+// identity that a worker would run differently. A ShardRequest carries
+// the campaign's counters, schedule and domain only, so a worker samples
+// invariants at the default rates, draws from the default mutator
+// catalog and extracts under the domain's default oracle options; a
+// campaign that sets any of these otherwise would run rounds other than
+// the ones its local baseline and Merge assume. Memo counts too: its hit
+// counts feed each round's coverage key.
+func remoteMismatch(opts Options) error {
+	o, def := opts.withDefaults(), Options{}.withDefaults()
+	switch {
+	case o.ParallelEvery != def.ParallelEvery:
+		return fmt.Errorf("campaign: remote workers run ParallelEvery %d, not %d", def.ParallelEvery, o.ParallelEvery)
+	case o.IncrementalEvery != def.IncrementalEvery:
+		return fmt.Errorf("campaign: remote workers run IncrementalEvery %d, not %d", def.IncrementalEvery, o.IncrementalEvery)
+	case o.Mutators != nil:
+		return fmt.Errorf("campaign: remote workers run the default mutator catalog, not Options.Mutators")
+	}
+	got := oracle.DefaultOptions()
+	if o.Oracle != nil {
+		got = *o.Oracle
+	}
+	want := oracle.DefaultOptions()
+	want.Domain = got.Domain
+	if oracle.CanonicalOptions(got) != oracle.CanonicalOptions(want) || got.Memo != want.Memo ||
+		got.CollectPaths != want.CollectPaths || got.CollectGuards != want.CollectGuards {
+		return fmt.Errorf("campaign: remote workers extract under the default oracle options of domain %s, not these",
+			domainID(got.Domain))
+	}
+	return nil
 }
 
 // pollRetryBudget is how many consecutive status-poll failures a worker

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"policyoracle/internal/campaign"
+	"policyoracle/internal/metamorph"
+	"policyoracle/internal/oracle"
 	"policyoracle/internal/server"
 	"policyoracle/internal/store"
 	"policyoracle/internal/telemetry"
@@ -173,5 +175,36 @@ func TestRemoteHonorsContext(t *testing.T) {
 	_, err := campaign.RunRemote(ctx, "jdk", src, remoteOpts(1), []string{hang.URL})
 	if err == nil {
 		t.Fatal("RunRemote ignored context cancellation")
+	}
+}
+
+// A ShardRequest cannot carry invariant sampling rates, a mutator
+// catalog or oracle options, so a campaign that sets any of them
+// otherwise than a worker runs fails before any worker sees a request:
+// the workers would run another campaign than the one merged.
+func TestRemoteRejectsOptionsWorkersIgnore(t *testing.T) {
+	var hits atomic.Int64
+	w := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "no request expected", http.StatusInternalServerError)
+	}))
+	t.Cleanup(w.Close)
+	noICP := oracle.DefaultOptions()
+	noICP.ICP = false
+	cases := map[string]func(*campaign.Options){
+		"ParallelEvery":    func(o *campaign.Options) { o.ParallelEvery = -1 },
+		"IncrementalEvery": func(o *campaign.Options) { o.IncrementalEvery = 3 },
+		"Mutators":         func(o *campaign.Options) { o.Mutators = metamorph.Mutators()[:1] },
+		"Oracle":           func(o *campaign.Options) { o.Oracle = &noICP },
+	}
+	for name, set := range cases {
+		opts := remoteOpts(41)
+		set(&opts)
+		if _, err := campaign.RunRemote(context.Background(), "jdk", testSources(t), opts, []string{w.URL}); err == nil {
+			t.Errorf("%s: remote run succeeded", name)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the worker received %d requests, want none", n)
 	}
 }

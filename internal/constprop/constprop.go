@@ -11,7 +11,6 @@ package constprop
 
 import (
 	"fmt"
-	"strings"
 
 	"policyoracle/internal/ir"
 )
@@ -48,35 +47,6 @@ func StrVal(s string) Value { return Value{Kind: Str, Str: s} }
 func NullVal() Value        { return Value{Kind: Null} }
 func NonNullVal() Value     { return Value{Kind: NonNull} }
 
-// IsConst reports whether v carries a concrete constant or nullness fact.
-func (v Value) IsConst() bool {
-	switch v.Kind {
-	case Int, Bool, Str, Null, NonNull:
-		return true
-	}
-	return false
-}
-
-// Key renders a canonical encoding for memoization keys.
-func (v Value) Key() string {
-	switch v.Kind {
-	case Undef:
-		return "u"
-	case Int:
-		return fmt.Sprintf("i%d", v.Int)
-	case Bool:
-		return fmt.Sprintf("b%t", v.Bool)
-	case Str:
-		return "s" + v.Str
-	case Null:
-		return "0"
-	case NonNull:
-		return "n"
-	default:
-		return "*"
-	}
-}
-
 func (v Value) String() string {
 	switch v.Kind {
 	case Undef:
@@ -94,16 +64,6 @@ func (v Value) String() string {
 	default:
 		return "varies"
 	}
-}
-
-// KeyOf encodes a parameter value list for memoization.
-func KeyOf(vals []Value) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		sb.WriteString(v.Key())
-		sb.WriteByte(';')
-	}
-	return sb.String()
 }
 
 // Meet combines two abstract values along control-flow joins.

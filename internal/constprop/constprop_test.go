@@ -285,15 +285,3 @@ func TestEvalIntBinary(t *testing.T) {
 		}
 	}
 }
-
-func TestKeyOfDistinguishesBindings(t *testing.T) {
-	a := KeyOf([]Value{IntVal(1), NullVal()})
-	b := KeyOf([]Value{IntVal(1), NonNullVal()})
-	c := KeyOf([]Value{IntVal(1), NullVal()})
-	if a == b {
-		t.Error("distinct bindings share a key")
-	}
-	if a != c {
-		t.Error("equal bindings differ")
-	}
-}

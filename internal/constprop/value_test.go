@@ -19,17 +19,6 @@ func TestValueStrings(t *testing.T) {
 	}
 }
 
-func TestIsConst(t *testing.T) {
-	if UndefVal().IsConst() || VariesVal().IsConst() {
-		t.Error("top/bottom are not constants")
-	}
-	for _, v := range []Value{IntVal(1), BoolVal(false), StrVal(""), NullVal(), NonNullVal()} {
-		if !v.IsConst() {
-			t.Errorf("%v should be const", v)
-		}
-	}
-}
-
 func TestEvalUnaryNonConst(t *testing.T) {
 	if got := evalUnary("!", VariesVal()); got.Kind != Varies {
 		t.Errorf("!varies = %v", got)

@@ -54,17 +54,6 @@ func (s TypeSet) Equal(t TypeSet) bool {
 	return true
 }
 
-func (s TypeSet) union(t TypeSet) (TypeSet, bool) {
-	changed := false
-	for n := range t {
-		if !s[n] {
-			s[n] = true
-			changed = true
-		}
-	}
-	return s, changed
-}
-
 // Analyzer computes thrown-exception summaries for one program.
 type Analyzer struct {
 	prog *ir.Program
@@ -127,7 +116,7 @@ func (a *Analyzer) solve() {
 					if !ok {
 						continue
 					}
-					t := a.res.ResolveQuiet(c)
+					t := a.res.Resolve(c)
 					if t == nil {
 						continue
 					}

@@ -196,7 +196,7 @@ func TestTokenStringForms(t *testing.T) {
 }
 
 func TestKindStringCoverage(t *testing.T) {
-	for k := token.Invalid; k <= token.KwCast; k++ {
+	for k := token.Invalid; k <= token.KwDefault; k++ {
 		if token.Kind(k).String() == "" {
 			t.Errorf("kind %d has empty name", k)
 		}

@@ -128,7 +128,7 @@ func (h *methodHasher) appendFacts(b []byte, instr ir.Instr) []byte {
 		if h.d.IsDoPrivileged(in) {
 			b = h.appendRunFact(b, in)
 		}
-		if target := h.res.ResolveQuiet(in); target == nil {
+		if target := h.res.Resolve(in); target == nil {
 			b = append(b, " [target=?]"...)
 		} else {
 			b = h.appendTarget(append(b, " [target="...), target)

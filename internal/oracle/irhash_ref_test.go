@@ -93,7 +93,7 @@ func refInstrFacts(prog *ir.Program, res *callgraph.Resolver, d *secmodel.Domain
 		if d.IsDoPrivileged(in) {
 			refWriteRunFact(&b, prog, res, in)
 		}
-		if target := res.ResolveQuiet(in); target == nil {
+		if target := res.Resolve(in); target == nil {
 			b.WriteString(" [target=?]")
 		} else {
 			fmt.Fprintf(&b, " [target=%s native=%t body=%t]",

@@ -599,18 +599,9 @@ func Diff(a, b *Library) (*diff.Report, error) {
 	}
 	if a.Policies.Domain != b.Policies.Domain {
 		return nil, fmt.Errorf("%w: %s has %q, %s has %q", ErrDomainMismatch,
-			a.Name, domainOr(a.Policies.Domain), b.Name, domainOr(b.Policies.Domain))
+			a.Name, secmodel.DomainLabel(a.Policies.Domain), b.Name, secmodel.DomainLabel(b.Policies.Domain))
 	}
 	return diff.Compare(a.Policies, b.Policies), nil
-}
-
-// domainOr spells the default domain's canonical empty string as its
-// registered ID for error messages.
-func domainOr(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
 }
 
 // Compare is the one-shot entry point: it extracts either library's

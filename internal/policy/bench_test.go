@@ -9,7 +9,7 @@ import (
 )
 
 // genSmallJDKBlob exports the policies of the gen.Small jdk library: the
-// blob the store keeps for it, about 135 KB of indented JSON.
+// blob the store keeps for it, about 170 KB of indented JSON.
 func genSmallJDKBlob(tb testing.TB) []byte {
 	tb.Helper()
 	l, err := oracle.LoadLibrary("jdk", gen.Generate(gen.Small()).Sources["jdk"])
@@ -27,7 +27,7 @@ func genSmallJDKBlob(tb testing.TB) []byte {
 var benchImported *policy.ProgramPolicies
 
 // BenchmarkImportJSON decodes one gen.Small jdk blob per op: the decode
-// the store runs to validate a disk or peer blob and to serve a diff.
+// the store runs to validate a peer blob and to compute a diff.
 func BenchmarkImportJSON(b *testing.B) {
 	blob := genSmallJDKBlob(b)
 	b.SetBytes(int64(len(blob)))

@@ -198,18 +198,6 @@ func (p PathSets) AddAll(cs CheckSet) PathSets {
 	return out.normalize()
 }
 
-// Cross combines caller alternatives with callee alternatives
-// (every caller path continues into every callee path).
-func (p PathSets) Cross(q PathSets) PathSets {
-	out := PathSets{Overflow: p.Overflow || q.Overflow}
-	for _, a := range p.Sets {
-		for _, b := range q.Sets {
-			out.Sets = append(out.Sets, a.Union(b))
-		}
-	}
-	return out.normalize()
-}
-
 // Equal reports set equality.
 func (p PathSets) Equal(q PathSets) bool {
 	if len(p.Sets) != len(q.Sets) || p.Overflow != q.Overflow {
@@ -235,18 +223,6 @@ func (p PathSets) StringIn(d *secmodel.Domain) string {
 		suffix = "…"
 	}
 	return "{" + strings.Join(parts, ", ") + suffix + "}"
-}
-
-// Key renders a canonical string usable as a memoization key component.
-func (p PathSets) Key() string {
-	var sb strings.Builder
-	for _, s := range p.Sets {
-		fmt.Fprintf(&sb, "%x,", uint64(s))
-	}
-	if p.Overflow {
-		sb.WriteByte('!')
-	}
-	return sb.String()
 }
 
 // ---------------------------------------------------------------------------

@@ -190,28 +190,6 @@ func TestPathSetsCapCollapses(t *testing.T) {
 	}
 }
 
-func TestPathSetsCrossDistributes(t *testing.T) {
-	a, _ := sm.CheckByName("checkRead", 1)
-	b, _ := sm.CheckByName("checkWrite", 1)
-	c, _ := sm.CheckByName("checkExit", 1)
-	p := PathSets{Sets: []CheckSet{Empty.With(a), Empty.With(b)}}
-	q := PathSets{Sets: []CheckSet{Empty.With(c)}}
-	got := p.Cross(q)
-	want := []CheckSet{Empty.With(a).With(c), Empty.With(b).With(c)}
-	if len(got.Sets) != 2 || got.Sets[0] != want[0] && got.Sets[0] != want[1] {
-		t.Errorf("cross = %s", got.StringIn(sm))
-	}
-}
-
-func TestPathSetsKeyDistinguishes(t *testing.T) {
-	a, _ := sm.CheckByName("checkRead", 1)
-	p := PathSets{Sets: []CheckSet{Empty}}
-	q := PathSets{Sets: []CheckSet{Empty.With(a)}}
-	if p.Key() == q.Key() {
-		t.Error("distinct path sets share a key")
-	}
-}
-
 func TestEventPolicyOrigins(t *testing.T) {
 	read, _ := sm.CheckByName("checkRead", 1)
 	ep := NewEventPolicy(secmodel.ReturnEvent())

@@ -7,10 +7,10 @@
 //	        wakeup is repaired by the next interval tick, never lost
 //	plan    every registered library pair whose current fingerprint pair
 //	        differs from the pair's latest drift-timeline entry
-//	apply   diff the pair through the store (which serves the blobs the
-//	        incremental update path produced), compute the deviation
-//	        delta keyed by stable root keys, and append one entry to the
-//	        persistent drift timeline
+//	apply   diff the pair through the store's report cache (which serves
+//	        a pair whose blobs did not change without decoding them),
+//	        compute the deviation delta keyed by stable root keys, and
+//	        append one entry to the persistent drift timeline
 //
 // The controller is crash-safe — the timeline is persisted via atomic
 // rename before an observation becomes visible, and on restart the plan
@@ -96,8 +96,7 @@ type Controller struct {
 
 	mu      sync.Mutex
 	tl      *timeline
-	pending map[string]bool   // library names awaiting reconciliation
-	reports map[string][]byte // pair key → latest diff wire bytes
+	pending map[string]bool // library names awaiting reconciliation
 
 	wake chan struct{}
 }
@@ -128,7 +127,6 @@ func New(cfg Config) (*Controller, error) {
 		log:     cfg.Logger,
 		tl:      tl,
 		pending: map[string]bool{},
-		reports: map[string][]byte{},
 		wake:    make(chan struct{}, 1),
 	}
 	c.rm.TimelineEntries.Set(float64(len(tl.entries)))
@@ -257,21 +255,10 @@ func (c *Controller) RunOnce(ctx context.Context) error {
 // observation to the timeline.
 func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error {
 	pair := PairKey(la, lb)
-	rep, err := c.st.DiffContext(ctx, fa, fb)
+	r, err := c.st.DiffWire(ctx, fa, fb)
 	if err != nil {
 		return err
 	}
-	wire, err := rep.EncodeJSON()
-	if err != nil {
-		return err
-	}
-
-	keys := make([]string, 0, len(rep.Groups))
-	for _, g := range rep.Groups {
-		keys = append(keys, g.RootKey)
-	}
-	sort.Strings(keys)
-	sum := sha256.Sum256(wire)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -280,16 +267,15 @@ func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error
 		// Another writer observed this exact fingerprint pair since the
 		// plan step (or a previous crash persisted it); appending again
 		// would duplicate history.
-		c.reports[pair] = wire
 		return nil
 	}
 	e := &Entry{
 		Pair: pair, LibA: la, LibB: lb, FpA: fa, FpB: fb,
 		ObservedAt:     time.Now().UTC(),
-		Deviations:     len(rep.Groups),
-		Manifestations: rep.TotalManifestations(),
-		RootKeys:       keys,
-		DiffSHA256:     hex.EncodeToString(sum[:]),
+		Deviations:     len(r.RootKeys),
+		Manifestations: r.Manifestations,
+		RootKeys:       r.RootKeys,
+		DiffSHA256:     wireDigest(r.Wire),
 	}
 	var prevKeys []string
 	wasFiring := false
@@ -297,7 +283,7 @@ func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error
 		prevKeys = prev.RootKeys
 		wasFiring = c.firing(prev)
 	}
-	e.New, e.Resolved = deltaKeys(prevKeys, keys)
+	e.New, e.Resolved = deltaKeys(prevKeys, e.RootKeys)
 	nowFiring := c.firing(e)
 	switch {
 	case nowFiring && !wasFiring:
@@ -308,7 +294,6 @@ func (c *Controller) applyPair(ctx context.Context, la, lb, fa, fb string) error
 	if err := c.tl.append(e); err != nil {
 		return err
 	}
-	c.reports[pair] = wire
 	c.rm.PairsReconciled.Inc()
 	c.rm.TimelineEntries.Set(float64(len(c.tl.entries)))
 	c.rm.Drift.With(pair).Set(float64(e.Deviations))
@@ -344,34 +329,34 @@ func (c *Controller) Pairs() []*PairStatus {
 }
 
 // Pair returns the latest status of one pair including its reconciled
-// diff report. If the report bytes are not cached (fresh restart), they
-// are read through the store's DiffWire, which serves the bytes /v1/diff
-// does, and verified against the entry's digest, so what this returns is
-// always exactly what the controller observed.
+// diff report. The report is read through the store's DiffWire, which
+// serves the bytes /v1/diff does, and verified against the entry's
+// digest, so what this returns is always exactly what the controller
+// observed.
 func (c *Controller) Pair(ctx context.Context, key string) (*PairStatus, error) {
 	c.mu.Lock()
 	e := c.tl.latestFor(key)
-	wire := c.reports[key]
 	c.mu.Unlock()
 	if e == nil {
 		return nil, ErrUnknownPair
 	}
-	if wire == nil {
-		var err error
-		if wire, _, err = c.st.DiffWire(ctx, e.FpA, e.FpB); err != nil {
-			return nil, err
-		}
-		sum := sha256.Sum256(wire)
-		if hex.EncodeToString(sum[:]) != e.DiffSHA256 {
-			return nil, fmt.Errorf("reconcile: recomputed diff for %s does not match recorded digest", key)
-		}
-		c.mu.Lock()
-		c.reports[key] = wire
-		c.mu.Unlock()
+	r, err := c.st.DiffWire(ctx, e.FpA, e.FpB)
+	if err != nil {
+		return nil, err
+	}
+	if wireDigest(r.Wire) != e.DiffSHA256 {
+		return nil, fmt.Errorf("reconcile: recomputed diff for %s does not match recorded digest", key)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.statusLocked(e, wire), nil
+	return c.statusLocked(e, r.Wire), nil
+}
+
+// wireDigest is the hex SHA-256 of a report's wire bytes, an entry's
+// DiffSHA256.
+func wireDigest(wire []byte) string {
+	sum := sha256.Sum256(wire)
+	return hex.EncodeToString(sum[:])
 }
 
 // ErrUnknownPair reports a drift query for a pair the timeline has never

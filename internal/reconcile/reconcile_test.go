@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -311,6 +312,66 @@ func TestReconcileEntryDeletedMidReconcile(t *testing.T) {
 			t.Errorf("pair %s after heal: %v", pair, perr)
 		}
 	}
+}
+
+// A PUT that changes a library's sources but not its blob bytes (a
+// comment edit) moves its fingerprint, so the next cycle observes the pair
+// again. The store's report cache serves that diff: the cycle appends the
+// pair's entry, unchanged but for its fingerprint, without decoding either
+// blob.
+func TestReconcileReadsCachedReport(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	ctx := context.Background()
+	if _, err := s.Update(ctx, "liba", sourcesOf(libMJ), store.OptionsWire{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update(ctx, "libb", sourcesOf(libMJv2), store.OptionsWire{}); err != nil {
+		t.Fatal(err)
+	}
+	c := newController(t, s, filepath.Join(dir, "drift.json"), telemetry.New(), 0)
+	if err := c.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.Policies(s.Names()["liba"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Update(ctx, "liba", sourcesOf("// a comment edit\n"+libMJ), store.OptionsWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Policies(res.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Created || !bytes.Equal(after, before) {
+		t.Fatalf("the comment edit made no new bundle or changed the blob: %+v", res)
+	}
+
+	st0 := s.Stats()
+	if err := c.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Decodes != st0.Decodes || st.ReportHits != st0.ReportHits+1 {
+		t.Errorf("second cycle: decodes %d -> %d, report hits %d -> %d; want no decode and one report hit",
+			st0.Decodes, st.Decodes, st0.ReportHits, st.ReportHits)
+	}
+	entries := c.Timeline(0).Entries
+	if len(entries) != 2 {
+		t.Fatalf("timeline = %d entries, want 2", len(entries))
+	}
+	e1, e2 := entries[0], entries[1]
+	if e2.FpA != res.Fingerprint || e2.FpB != e1.FpB {
+		t.Errorf("second entry diffs %s and %s, want %s and %s", e2.FpA, e2.FpB, res.Fingerprint, e1.FpB)
+	}
+	if e2.Deviations == 0 || e2.Deviations != e1.Deviations || e2.Manifestations != e1.Manifestations ||
+		!slices.Equal(e2.RootKeys, e1.RootKeys) || e2.DiffSHA256 != e1.DiffSHA256 ||
+		len(e2.New) != 0 || len(e2.Resolved) != 0 {
+		t.Errorf("second entry %+v differs from the first %+v beyond its fingerprint", e2, e1)
+	}
+	checkCold(t, c, s)
 }
 
 // Enqueue coalesces per library and never blocks: a storm of uploads to

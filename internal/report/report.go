@@ -97,8 +97,3 @@ func (t *Table) String() string {
 	}
 	return sb.String()
 }
-
-// DM renders the paper's "distinct (manifestations)" cell format.
-func DM(distinct, manifestations int) string {
-	return fmt.Sprintf("%d (%d)", distinct, manifestations)
-}

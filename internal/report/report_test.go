@@ -60,9 +60,3 @@ func TestRowsWiderThanHeader(t *testing.T) {
 		t.Errorf("extra cells dropped:\n%s", out)
 	}
 }
-
-func TestDM(t *testing.T) {
-	if got := DM(6, 23); got != "6 (23)" {
-		t.Errorf("DM = %q", got)
-	}
-}

@@ -26,29 +26,24 @@ import (
 	"strings"
 )
 
-// DefaultVirtualNodes is the per-member point count used when New is
-// given vnodes <= 0. 128 points keep the member shares within a few
-// percent of uniform at single-digit member counts (asserted by the
-// distribution-bound tests) while keeping a 3-node ring under 400
-// points to search.
-const DefaultVirtualNodes = 128
+// VirtualNodes is the per-member point count. 128 points keep the member
+// shares within a few percent of uniform at single-digit member counts
+// (asserted by the distribution-bound tests) while keeping a 3-node ring
+// under 400 points to search. Every replica and client must agree on it,
+// so it is not configurable.
+const VirtualNodes = 128
 
 // Ring is an immutable consistent-hash ring.
 type Ring struct {
-	vnodes  int
 	members []string // sorted, deduplicated
 	hashes  []uint64 // sorted ring points
 	owners  []int    // owners[i] = index into members for hashes[i]
 }
 
-// New builds a ring over the given members with vnodes virtual nodes
-// per member (<= 0 means DefaultVirtualNodes). Duplicate members are
-// collapsed; an empty member list yields an empty ring whose Owner
-// returns "".
-func New(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// New builds a ring over the given members with VirtualNodes points per
+// member. Duplicate members are collapsed; an empty member list yields an
+// empty ring whose Owner returns "".
+func New(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -59,18 +54,17 @@ func New(members []string, vnodes int) *Ring {
 	}
 	sort.Strings(uniq)
 	r := &Ring{
-		vnodes:  vnodes,
 		members: uniq,
-		hashes:  make([]uint64, 0, len(uniq)*vnodes),
-		owners:  make([]int, 0, len(uniq)*vnodes),
+		hashes:  make([]uint64, 0, len(uniq)*VirtualNodes),
+		owners:  make([]int, 0, len(uniq)*VirtualNodes),
 	}
 	type point struct {
 		hash  uint64
 		owner int
 	}
-	points := make([]point, 0, len(uniq)*vnodes)
+	points := make([]point, 0, len(uniq)*VirtualNodes)
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < VirtualNodes; v++ {
 			points = append(points, point{hashString(fmt.Sprintf("%s#%d", m, v)), i})
 		}
 	}
@@ -156,7 +150,7 @@ func (r *Ring) Without(m string) *Ring {
 			rest = append(rest, mem)
 		}
 	}
-	return New(rest, r.vnodes)
+	return New(rest)
 }
 
 // BaseURL returns the HTTP base URL for a member string: members are

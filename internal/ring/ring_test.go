@@ -19,7 +19,7 @@ func keys(n int) []string {
 func TestOwnerDeterministic(t *testing.T) {
 	members := []string{"10.0.0.1:8075", "10.0.0.2:8075", "10.0.0.3:8075"}
 	shuffled := []string{"10.0.0.3:8075", "10.0.0.1:8075", "10.0.0.2:8075"}
-	a, b := New(members, 0), New(shuffled, 0)
+	a, b := New(members), New(shuffled)
 	for _, k := range keys(1000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %s differs across member orderings: %q vs %q",
@@ -33,16 +33,19 @@ func TestOwnerDeterministic(t *testing.T) {
 
 // Duplicate and empty members collapse instead of double-weighting.
 func TestNewDeduplicates(t *testing.T) {
-	r := New([]string{"a", "b", "a", "", "b"}, 8)
+	r := New([]string{"a", "b", "a", "", "b"})
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
 	if got := r.members; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("members = %v", got)
 	}
+	if len(r.hashes) != 2*VirtualNodes || len(r.owners) != 2*VirtualNodes {
+		t.Fatalf("%d points and %d owners, want %d of each", len(r.hashes), len(r.owners), 2*VirtualNodes)
+	}
 }
 
-// The distribution bound the design relies on: with DefaultVirtualNodes
+// The distribution bound the design relies on: with VirtualNodes
 // every member's share of a large key population stays within ±35% of
 // the uniform share. (The bound is loose enough to be stable across
 // hash functions but tight enough to catch a broken vnode projection,
@@ -53,7 +56,7 @@ func TestDistributionBounds(t *testing.T) {
 		for i := range members {
 			members[i] = fmt.Sprintf("replica-%d:8075", i)
 		}
-		r := New(members, 0)
+		r := New(members)
 		const total = 20000
 		counts := map[string]int{}
 		for _, k := range keys(total) {
@@ -76,7 +79,7 @@ func TestDistributionBounds(t *testing.T) {
 // through a dropout.
 func TestWithoutMovesOnlyOrphanedKeys(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1", "d:1"}
-	full := New(members, 0)
+	full := New(members)
 	reduced := full.Without("c:1")
 	if reduced.Len() != 3 {
 		t.Fatalf("reduced Len = %d, want 3", reduced.Len())
@@ -108,7 +111,7 @@ func TestWithoutMovesOnlyOrphanedKeys(t *testing.T) {
 // the owner; asking for more members than exist returns them all.
 func TestOwnersPreferenceOrder(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1"}
-	r := New(members, 0)
+	r := New(members)
 	for _, k := range keys(200) {
 		all := r.Owners(k, 0)
 		if len(all) != 3 {
@@ -134,14 +137,14 @@ func TestOwnersPreferenceOrder(t *testing.T) {
 
 // Empty and single-member rings behave.
 func TestDegenerateRings(t *testing.T) {
-	empty := New(nil, 0)
+	empty := New(nil)
 	if got := empty.Owner("k"); got != "" {
 		t.Errorf(`empty ring Owner = %q, want ""`, got)
 	}
 	if got := empty.Owners("k", 2); len(got) != 0 {
 		t.Errorf("empty ring Owners = %v", got)
 	}
-	one := New([]string{"solo:1"}, 4)
+	one := New([]string{"solo:1"})
 	for _, k := range keys(50) {
 		if one.Owner(k) != "solo:1" {
 			t.Fatalf("single-member ring routed %s elsewhere", k)
@@ -157,7 +160,7 @@ func BenchmarkOwner(b *testing.B) {
 	for i := range members {
 		members[i] = fmt.Sprintf("replica-%d:8075", i)
 	}
-	r := New(members, 0)
+	r := New(members)
 	ks := keys(1024)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()

@@ -223,6 +223,16 @@ func (d *Domain) IsGetSecurityManager(call *ir.Call) bool {
 // keeps pre-domain bundles, snapshots, and exports addressable.
 const DefaultDomainID = "securitymanager"
 
+// DomainLabel spells a wire domain ID as the registered ID it names: the
+// empty ID is DefaultDomainID, and any other ID is itself. Error messages
+// and domain assertions compare and print this form.
+func DomainLabel(id string) string {
+	if id == "" {
+		return DefaultDomainID
+	}
+	return id
+}
+
 // CryptoDomainID is the ID of the bundled crypto-API misuse domain.
 const CryptoDomainID = "cryptoapi"
 

@@ -192,7 +192,7 @@ func TestDistributedBatchByteIdentity(t *testing.T) {
 	// than it (falling back to replica 1, which by now holds peer-fetched
 	// blobs). The client must retry, drop the member, reroute, and still
 	// produce identical bytes.
-	r := ring.New(tr.urls, 0)
+	r := ring.New(tr.urls)
 	victim := ""
 	for _, it := range items[:3] {
 		if owner := r.Owner(it.RouteKey()); owner != tr.urls[0] {

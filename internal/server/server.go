@@ -207,10 +207,7 @@ func New(st *store.Store, opts Options) *Server {
 	if len(opts.Domains) > 0 {
 		s.domains = make(map[string]bool, len(opts.Domains))
 		for _, id := range opts.Domains {
-			if id == "" {
-				id = secmodel.DefaultDomainID
-			}
-			s.domains[id] = true
+			s.domains[secmodel.DomainLabel(id)] = true
 		}
 	}
 	s.handle("POST /v1/libraries", s.handleLibraries)
@@ -422,10 +419,10 @@ func (s *Server) extract(ctx context.Context, fp, domain string) ([]byte, *failu
 		var hdr struct {
 			Domain string `json:"domain"`
 		}
-		if json.Unmarshal(blob, &hdr) == nil && domainLabel(hdr.Domain) != want {
+		if json.Unmarshal(blob, &hdr) == nil && secmodel.DomainLabel(hdr.Domain) != want {
 			return nil, &failure{http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
-					fp, domainLabel(hdr.Domain), want)}
+					fp, secmodel.DomainLabel(hdr.Domain), want)}
 		}
 	}
 	return blob, nil
@@ -441,16 +438,16 @@ func (s *Server) diff(ctx context.Context, a, b, domain string) ([]byte, *failur
 	if f != nil {
 		return nil, f
 	}
-	wire, dom, err := s.st.DiffWire(ctx, a, b)
+	r, err := s.st.DiffWire(ctx, a, b)
 	if err != nil {
 		return nil, storeFailure(err)
 	}
-	if want != "" && domainLabel(dom) != want {
+	if want != "" && secmodel.DomainLabel(r.Domain) != want {
 		return nil, &failure{http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-				domainLabel(dom), want)}
+				secmodel.DomainLabel(r.Domain), want)}
 	}
-	return wire, nil
+	return r.Wire, nil
 }
 
 // writePayload writes an extract or diff payload verbatim, or its
@@ -565,15 +562,6 @@ func (s *Server) assertedDomain(id string) (string, *failure) {
 		return "", &failure{http.StatusBadRequest, CodeUnknownDomain, err}
 	}
 	return d.ID(), nil
-}
-
-// domainLabel spells the wire format's empty default-domain ID as the
-// registered one for error messages and comparisons.
-func domainLabel(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
 }
 
 // storeFailure maps a store-layer error to its HTTP status and stable

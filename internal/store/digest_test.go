@@ -98,7 +98,7 @@ func TestDigestRejectsEveryBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.readBlob(fp, true); !ok {
+	if _, ok := s.readBlob(fp); !ok {
 		t.Fatal("the unmodified blob failed its check")
 	}
 	// Each mutant flips its bit in place on disk, as bit rot would.
@@ -117,7 +117,7 @@ func TestDigestRejectsEveryBitFlip(t *testing.T) {
 	for i := 0; i < len(blob); i += 97 {
 		for bit := 0; bit < 8; bit++ {
 			poke(i, blob[i]^1<<bit)
-			if _, ok := s.readBlob(fp, true); ok {
+			if _, ok := s.readBlob(fp); ok {
 				t.Fatalf("byte %d bit %d: flipped blob passed the disk-read check", i, bit)
 			}
 			n++
@@ -161,7 +161,7 @@ func TestDigestCrashWindows(t *testing.T) {
 			if err := os.Remove(s.digestPath(fp)); err != nil {
 				t.Fatal(err)
 			}
-		}, 1, 0, 0, 1},
+		}, 0, 1, 0, 0},
 		{"truncated digest", func(t *testing.T, s *Store, fp string) {
 			line, err := os.ReadFile(s.digestPath(fp))
 			if err != nil {
@@ -213,9 +213,11 @@ func TestDigestCrashWindows(t *testing.T) {
 	}
 }
 
-// A blob written without a digest, by an older build, is served after a
-// decode but never seeds an incremental update: nothing proves it is the
-// extraction it claims to be.
+// A blob with no digest file beside it counts as absent. It never seeds an
+// incremental update, and a read re-extracts it from its bundle and
+// persists it with its digest, counted as a miss, not as corrupt: nothing
+// unverified is served. A reopened store then reads it as a verified disk
+// hit that decodes nothing.
 func TestUndigestedBlobNeverSeeds(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
@@ -224,16 +226,16 @@ func TestUndigestedBlobNeverSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(s.digestPath(res1.Fingerprint)); err != nil {
+	fp := res1.Fingerprint
+	want, err := os.ReadFile(s.policyPath(fp))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Remove(s.digestPath(fp)); err != nil {
+		t.Fatal(err)
+	}
+
 	s = openTestStore(t, dir)
-	if _, err := s.Policies(res1.Fingerprint); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.DiskHits != 1 || st.Decodes != 1 || st.CorruptBlobs != 0 {
-		t.Errorf("read of a digest-less blob: %+v, want one decode-checked disk hit", st)
-	}
 	res2, err := s.Update(ctx, "a", v2Sources(), OptionsWire{})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +243,32 @@ func TestUndigestedBlobNeverSeeds(t *testing.T) {
 	if res2.Incremental {
 		t.Errorf("a digest-less blob seeded an update: %+v", res2)
 	}
-	if st := s.Stats(); st.CorruptBlobs != 0 {
-		t.Errorf("a digest-less blob counted as corrupt: %+v", st)
+	before := s.Stats()
+	got, err := s.Policies(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the re-extracted blob differs from the one first persisted")
+	}
+	st := s.Stats()
+	if st.Misses-before.Misses != 1 || st.Extractions-before.Extractions != 1 ||
+		st.DiskHits != 0 || st.Decodes != 0 || st.CorruptBlobs != 0 {
+		t.Errorf("read of a digest-less blob: %+v, want one miss re-extracted, no disk hit, decode or corruption", st)
+	}
+	if _, err := os.Stat(s.digestPath(fp)); err != nil {
+		t.Errorf("the re-extracted blob was not persisted with its digest: %v", err)
+	}
+
+	s = openTestStore(t, dir)
+	if got, err = s.Policies(fp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the reopened store serves other bytes")
+	}
+	if st := s.Stats(); st.DiskHits != 1 || st.Misses != 0 || st.Decodes != 0 || st.Extractions != 0 {
+		t.Errorf("reopened read: %+v, want one verified disk hit and no decode", st)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestStoreDiffDomainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DiffContext(context.Background(), fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
+	if _, err := s.DiffWire(context.Background(), fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
 		t.Fatalf("cross-domain diff: err = %v, want oracle.ErrDomainMismatch", err)
 	}
 	// Two crypto-domain bundles diff fine.
@@ -92,12 +92,12 @@ func TestStoreDiffDomainMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.DiffContext(context.Background(), fpCrypto, fpCrypto2)
+	r, err := s.DiffWire(context.Background(), fpCrypto, fpCrypto2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Domain != secmodel.CryptoDomainID {
-		t.Errorf("crypto diff report domain = %q, want %q", rep.Domain, secmodel.CryptoDomainID)
+	if r.Domain != secmodel.CryptoDomainID {
+		t.Errorf("crypto diff report domain = %q, want %q", r.Domain, secmodel.CryptoDomainID)
 	}
 }
 

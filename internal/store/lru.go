@@ -74,10 +74,3 @@ func (c *lru[K, V]) len() int { return c.order.Len() }
 // compares, in order: the report's bytes are a function of exactly those
 // two blobs.
 type reportKey [2]digest
-
-// report is one cached diff report.
-type report struct {
-	wire []byte // Report.EncodeJSON's bytes
-	// domain is the compared policies' domain ID, as the report carries it.
-	domain string
-}

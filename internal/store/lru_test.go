@@ -101,7 +101,7 @@ func TestBlobLRUDisabled(t *testing.T) {
 	fps, _ := putFour(t, s)
 	for i := 0; i < 2; i++ {
 		for _, fp := range fps {
-			if _, _, err := s.DiffWire(context.Background(), fps[0], fp); err != nil {
+			if _, err := s.DiffWire(context.Background(), fps[0], fp); err != nil {
 				t.Fatal(err)
 			}
 		}

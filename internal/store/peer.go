@@ -28,9 +28,6 @@ type PeerConfig struct {
 	// Self is this replica's own address within Members; it is skipped
 	// when fetching so a node never asks itself.
 	Self string
-	// VirtualNodes is the ring's per-member point count (<= 0 means
-	// ring.DefaultVirtualNodes). All replicas and clients must agree.
-	VirtualNodes int
 	// Client is the HTTP client used for peer fetches; nil uses a
 	// default with a 2-minute overall timeout (a peer may extract on
 	// demand before responding).
@@ -76,17 +73,12 @@ func NewPeerBackend(cfg PeerConfig) *PeerBackend {
 		log:    log,
 	}
 	p.SetMembers(cfg.Members, cfg.Self)
-	if cfg.VirtualNodes > 0 {
-		p.mu.Lock()
-		p.ring = ring.New(cfg.Members, cfg.VirtualNodes)
-		p.mu.Unlock()
-	}
 	return p
 }
 
 // SetMembers replaces the replica set and this node's own address.
 func (p *PeerBackend) SetMembers(members []string, self string) {
-	r := ring.New(members, 0)
+	r := ring.New(members)
 	p.mu.Lock()
 	p.ring, p.self = r, self
 	p.mu.Unlock()

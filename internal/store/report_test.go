@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -16,8 +18,9 @@ import (
 )
 
 // freshDiff is the report DiffWire must serve for two blobs: a fresh
-// ImportJSON of each, Compare and EncodeJSON.
-func freshDiff(t *testing.T, a, b []byte) []byte {
+// ImportJSON of each, Compare and EncodeJSON, with the report's sorted
+// root keys and manifestation count.
+func freshDiff(t *testing.T, a, b []byte) Report {
 	t.Helper()
 	pa, err := policy.ImportJSON(a)
 	if err != nil {
@@ -27,11 +30,16 @@ func freshDiff(t *testing.T, a, b []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := diff.Compare(pa, pb).EncodeJSON()
-	if err != nil {
+	rep := diff.Compare(pa, pb)
+	r := Report{Domain: rep.Domain, Manifestations: rep.TotalManifestations(), RootKeys: []string{}}
+	if r.Wire, err = rep.EncodeJSON(); err != nil {
 		t.Fatal(err)
 	}
-	return wire
+	for _, g := range rep.Groups {
+		r.RootKeys = append(r.RootKeys, g.RootKey)
+	}
+	sort.Strings(r.RootKeys)
+	return r
 }
 
 func resident(s *Store, fp string) bool {
@@ -41,15 +49,20 @@ func resident(s *Store, fp string) bool {
 	return ok
 }
 
-// checkReportBound fails unless the cached reports' bytes add up to the
-// cache's count and stay within the bytes of the resident blobs.
+// checkReportBound fails unless the cached reports' bytes (wire bytes and
+// root keys) add up to the cache's count and stay within the bytes of the
+// resident blobs.
 func checkReportBound(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum := 0
 	for el := s.reports.order.Front(); el != nil; el = el.Next() {
-		sum += len(el.Value.(*lruEntry[reportKey, report]).val.wire)
+		r := el.Value.(*lruEntry[reportKey, Report]).val
+		sum += len(r.Wire)
+		for _, k := range r.RootKeys {
+			sum += len(k)
+		}
 	}
 	blobs := 0
 	for el := s.cache.order.Front(); el != nil; el = el.Next() {
@@ -88,8 +101,9 @@ func putFour(t *testing.T, s *Store) ([]string, [][]byte) {
 
 // Concurrent DiffWire calls over four fingerprints behind a two-entry
 // cache mix report hits, misses over resident blobs, and misses over
-// blobs read back from disk. Every one must serve the bytes a fresh
-// decode, compare and encode of the two blobs produces.
+// blobs read back from disk. Every one must serve the report a fresh
+// decode, compare and encode of the two blobs produces: its bytes, root
+// keys and manifestation count.
 func TestConcurrentDiffWireIsTheDiff(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), CacheEntries: 2, Parallel: 1})
 	if err != nil {
@@ -97,19 +111,19 @@ func TestConcurrentDiffWireIsTheDiff(t *testing.T) {
 	}
 	fps, blobs := putFour(t, s)
 	n := len(fps)
-	want := map[[2]int][]byte{}
+	want := map[[2]int]Report{}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			want[[2]int{a, b}] = freshDiff(t, blobs[a], blobs[b])
 		}
 	}
 	diffPair := func(a, b int) error {
-		got, domain, err := s.DiffWire(context.Background(), fps[a], fps[b])
+		got, err := s.DiffWire(context.Background(), fps[a], fps[b])
 		if err != nil {
 			return err
 		}
-		if !bytes.Equal(got, want[[2]int{a, b}]) || domain != "" {
-			return fmt.Errorf("DiffWire lib%d lib%d (domain %q) differs from the fresh diff", a, b, domain)
+		if !reflect.DeepEqual(got, want[[2]int{a, b}]) || got.Domain != "" {
+			return fmt.Errorf("DiffWire lib%d lib%d (domain %q) differs from the fresh diff", a, b, got.Domain)
 		}
 		return nil
 	}
@@ -154,10 +168,11 @@ func TestConcurrentDiffWireIsTheDiff(t *testing.T) {
 	}
 }
 
-// Concurrent DiffContext and DiffWire calls over four fingerprints behind
-// a two-entry cache keep evicting and re-reading blobs from disk, and
-// DiffWire mixes report hits with misses. Every report must match the
-// one computed from fresh imports of the two blobs.
+// Concurrent DiffWire calls and direct runs of its miss path (compare
+// and encode) over four fingerprints behind a two-entry cache keep
+// evicting and re-reading blobs from disk, and DiffWire mixes report hits
+// with misses. Every report must match the one computed from fresh
+// imports of the two blobs.
 func TestConcurrentDiffsMatchFreshImports(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), CacheEntries: 2, Parallel: 1})
 	if err != nil {
@@ -168,19 +183,20 @@ func TestConcurrentDiffsMatchFreshImports(t *testing.T) {
 	want := map[[2]int][]byte{}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			want[[2]int{a, b}] = freshDiff(t, blobs[a], blobs[b])
+			want[[2]int{a, b}] = freshDiff(t, blobs[a], blobs[b]).Wire
 		}
 	}
 	ctx := context.Background()
 	diffPair := func(a, b int, wire bool) error {
 		var got []byte
 		if wire {
-			var err error
-			if got, _, err = s.DiffWire(ctx, fps[a], fps[b]); err != nil {
+			r, err := s.DiffWire(ctx, fps[a], fps[b])
+			if err != nil {
 				return err
 			}
+			got = r.Wire
 		} else {
-			rep, err := s.DiffContext(ctx, fps[a], fps[b])
+			rep, err := compareRead(ctx, s, fps[a], fps[b])
 			if err != nil {
 				return err
 			}
@@ -216,26 +232,26 @@ func TestConcurrentDiffsMatchFreshImports(t *testing.T) {
 	checkReportBound(t, s)
 }
 
-// A blob is decoded only to compute a diff, and the set is not kept: each
-// DiffContext decodes both blobs, however often the pair was diffed, and
-// a DiffWire decodes both on a report miss and nothing on a hit.
+// A blob is decoded only to compute a diff, and the set is not kept: a
+// DiffWire decodes both blobs on a report miss and nothing on a hit, and
+// its miss path decodes both however often the pair was diffed.
 func TestDiffDecodes(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	fps, _ := putFour(t, s)
 	ctx := context.Background()
-	diffContext := func() error { _, err := s.DiffContext(ctx, fps[0], fps[1]); return err }
-	diffWire := func() error { _, _, err := s.DiffWire(ctx, fps[0], fps[1]); return err }
+	miss := func() error { _, err := compareRead(ctx, s, fps[0], fps[1]); return err }
+	diffWire := func() error { _, err := s.DiffWire(ctx, fps[0], fps[1]); return err }
 	steps := []struct {
 		name    string
 		diff    func() error
 		decodes uint64
 	}{
-		{"DiffContext", diffContext, 2},
-		{"repeated DiffContext", diffContext, 2},
+		{"miss path", miss, 2},
+		{"repeated miss path", miss, 2},
 		{"first DiffWire", diffWire, 2},
 		{"repeated DiffWire", diffWire, 0},
 		{"repeated DiffWire", diffWire, 0},
-		{"DiffContext of a cached report's pair", diffContext, 2},
+		{"miss path of a cached report's pair", miss, 2},
 	}
 	if st := s.Stats(); st.Decodes != 0 {
 		t.Fatalf("extraction decoded %d blobs, want none", st.Decodes)
@@ -265,11 +281,11 @@ func TestReportCacheFollowsBlobContent(t *testing.T) {
 	}
 	fps, blobs := putFour(t, s)
 	ctx := context.Background()
-	old, _, err := s.DiffWire(ctx, fps[0], fps[1])
+	old, err := s.DiffWire(ctx, fps[0], fps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(old, freshDiff(t, blobs[0], blobs[1])) {
+	if !reflect.DeepEqual(old, freshDiff(t, blobs[0], blobs[1])) {
 		t.Fatal("first diff differs from the fresh diff")
 	}
 	// lib1 now holds lib2's content, under lib1's address. Reading lib2
@@ -291,11 +307,11 @@ func TestReportCacheFollowsBlobContent(t *testing.T) {
 	if !cached {
 		t.Fatal("the old report was evicted, so the test shows nothing")
 	}
-	got, _, err := s.DiffWire(ctx, fps[0], fps[1])
+	got, err := s.DiffWire(ctx, fps[0], fps[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(got, old) || !bytes.Equal(got, freshDiff(t, blobs[0], blobs[2])) {
+	if bytes.Equal(got.Wire, old.Wire) || !reflect.DeepEqual(got, freshDiff(t, blobs[0], blobs[2])) {
 		t.Error("after replacing lib1's blob, DiffWire did not serve the diff of the new content")
 	}
 	if st := s.Stats(); st.ReportHits != 0 || st.CorruptBlobs != 0 {
@@ -317,7 +333,7 @@ func TestReportCacheSkipsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.DiffWire(context.Background(), fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
+		if _, err := s.DiffWire(context.Background(), fpDef, fpCrypto); !errors.Is(err, oracle.ErrDomainMismatch) {
 			t.Fatalf("cross-domain DiffWire %d: err = %v, want oracle.ErrDomainMismatch", i, err)
 		}
 	}
@@ -334,8 +350,8 @@ func TestReportCacheSkipsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, domain, err := s.DiffWire(context.Background(), fpCrypto, fpCrypto2); err != nil || domain != secmodel.CryptoDomainID {
-			t.Fatalf("crypto DiffWire %d: domain %q, err %v", i, domain, err)
+		if r, err := s.DiffWire(context.Background(), fpCrypto, fpCrypto2); err != nil || r.Domain != secmodel.CryptoDomainID {
+			t.Fatalf("crypto DiffWire %d: domain %q, err %v", i, r.Domain, err)
 		}
 	}
 	if st := s.Stats(); st.ReportHits != 1 {
@@ -354,11 +370,11 @@ func TestReportCacheOffWithoutBlobCache(t *testing.T) {
 	want := freshDiff(t, blobs[0], blobs[1])
 	before := s.Stats().Decodes
 	for i := 0; i < 3; i++ {
-		got, _, err := s.DiffWire(context.Background(), fps[0], fps[1])
+		got, err := s.DiffWire(context.Background(), fps[0], fps[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatal("DiffWire differs from the fresh diff")
 		}
 	}
@@ -387,7 +403,7 @@ func TestReportCacheBoundedByResidentBlobs(t *testing.T) {
 				for a := range fps {
 					for b := range fps {
 						for i := 0; i < 2; i++ {
-							if _, _, err := s.DiffWire(ctx, fps[a], fps[b]); err != nil {
+							if _, err := s.DiffWire(ctx, fps[a], fps[b]); err != nil {
 								t.Fatal(err)
 							}
 							checkReportBound(t, s)
@@ -406,9 +422,25 @@ func TestReportCacheBoundedByResidentBlobs(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreWarmDiff measures what reconcile pays per pair:
-// DiffContext of two resident fingerprints of the generated small corpus,
-// which decodes both blobs and runs one Compare. Run with -benchmem.
+// compareRead runs DiffWire's miss path on two fingerprints, bypassing the
+// report cache: it reads both blobs and compares them.
+func compareRead(ctx context.Context, s *Store, fpA, fpB string) (*diff.Report, error) {
+	a, err := s.read(ctx, fpA)
+	if err != nil {
+		return nil, err
+	}
+	b, err := s.read(ctx, fpB)
+	if err != nil {
+		return nil, err
+	}
+	return s.compare(fpA, fpB, a, b)
+}
+
+// BenchmarkStoreWarmDiff measures a report-cache miss: DiffWire's miss
+// path (compare) on two resident fingerprints of the generated small
+// corpus, which decodes both blobs and runs one Compare. It is what a
+// diff of two new blobs pays before encoding, a reconcile of a pair whose
+// blobs changed among them. Run with -benchmem.
 func BenchmarkStoreWarmDiff(b *testing.B) {
 	s, err := Open(Config{Dir: b.TempDir(), Parallel: 1})
 	if err != nil {
@@ -424,13 +456,13 @@ func BenchmarkStoreWarmDiff(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.DiffContext(ctx, fpA, fpB); err != nil {
+	if _, err := compareRead(ctx, s, fpA, fpB); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if benchReport, err = s.DiffContext(ctx, fpA, fpB); err != nil {
+		if benchReport, err = compareRead(ctx, s, fpA, fpB); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -457,13 +489,13 @@ func BenchmarkStoreDiffWire(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, _, err := s.DiffWire(ctx, fpA, fpB); err != nil {
+	if _, err := s.DiffWire(ctx, fpA, fpB); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if benchWire, _, err = s.DiffWire(ctx, fpA, fpB); err != nil {
+		if benchWire, err = s.DiffWire(ctx, fpA, fpB); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -473,4 +505,4 @@ func BenchmarkStoreDiffWire(b *testing.B) {
 	}
 }
 
-var benchWire []byte
+var benchWire Report

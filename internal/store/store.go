@@ -32,17 +32,17 @@
 // blob or sidecar verifies it against that digest: a blob that fails (bit
 // rot, a torn write, a crash between the two writes) counts as corrupt
 // and is re-extracted from its bundle, so the store self-heals, and a
-// sidecar that fails never seeds. A blob with no digest file was written
-// by an older build; a read checks it by decoding it instead, and neither
-// it nor a sidecar without a digest ever seeds an incremental update.
-// Otherwise a blob is decoded only to compute a diff, and the decoded set
-// is not kept.
+// sidecar that fails never seeds. A blob or sidecar with no digest file
+// beside it counts as absent: the blob is re-extracted, and neither ever
+// seeds an incremental update. A blob is decoded only to compute a diff,
+// and the decoded set is not kept.
 //
-// DiffWire serves a diff report's wire bytes from a report cache keyed by
-// the digests of the two blobs compared, so a repeated diff decodes,
-// compares and encodes nothing. The cached reports total at most the
-// bytes of the blobs the LRU holds, and none are cached when the LRU is
-// disabled.
+// DiffWire serves a diff report from a report cache keyed by the digests
+// of the two blobs compared, so a repeated diff decodes, compares and
+// encodes nothing. An entry holds the report's wire bytes, its sorted
+// root keys and its manifestation count; the cached entries total at most
+// the bytes of the blobs the LRU holds, and none are cached when the LRU
+// is disabled.
 //
 // Reads take a context: a caller that goes away (client disconnect,
 // server drain) stops waiting immediately, and when the last waiter on
@@ -60,6 +60,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -136,14 +137,13 @@ type Stats struct {
 	Coalesced uint64 `json:"coalesced"`
 	// Extractions performed (== Misses unless extraction failed early).
 	Extractions uint64 `json:"extractions"`
-	// CorruptBlobs counts persisted blobs that failed their check on a
-	// read (a digest mismatch, or a digest-less blob that does not
-	// decode) and backend blobs that do not decode. A corrupt blob is
+	// CorruptBlobs counts persisted blobs that failed their digest check
+	// on a read and backend blobs that do not decode. A corrupt blob is
 	// re-extracted when it is next read.
 	CorruptBlobs uint64 `json:"corruptBlobs"`
 	// Bundles uploaded (newly created, not re-uploads).
 	Bundles uint64 `json:"bundles"`
-	// Diffs served by DiffContext and DiffWire, ReportHits included.
+	// Diffs served by DiffWire, ReportHits included.
 	Diffs uint64 `json:"diffs"`
 	// ReportHits counts DiffWire calls served from the report cache.
 	ReportHits uint64 `json:"reportHits"`
@@ -153,9 +153,8 @@ type Stats struct {
 	// backend: fetched from another replica instead of extracting).
 	BackendHits uint64 `json:"backendHits"`
 	// Decodes counts every policy.ImportJSON the store runs: two for each
-	// diff it computes (DiffContext, or a DiffWire the report cache
-	// misses), one when Update finds its content already extracted, and
-	// one to check each backend or digest-less blob.
+	// DiffWire the report cache misses, one when Update finds its content
+	// already extracted, and one to check each backend blob.
 	Decodes uint64 `json:"decodes"`
 }
 
@@ -174,7 +173,7 @@ type Store struct {
 	mu        sync.Mutex
 	capacity  int                     // entry bound of cache and revisions; <= 0 disables all three
 	cache     *lru[string, blobRef]   // by fingerprint, sized by blob bytes
-	reports   *lru[reportKey, report] // bounded by cache.bytes
+	reports   *lru[reportKey, Report] // bounded by cache.bytes
 	revisions *lru[string, revision]  // by library name, least recently updated last
 	flight    map[string]*flightCall
 
@@ -255,7 +254,7 @@ func Open(cfg Config) (*Store, error) {
 		log:         cfg.Logger,
 		capacity:    cfg.CacheEntries,
 		cache:       newLRU[string, blobRef](),
-		reports:     newLRU[reportKey, report](),
+		reports:     newLRU[reportKey, Report](),
 		revisions:   newLRU[string, revision](),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
@@ -621,7 +620,7 @@ func (s *Store) cacheBlob(fp string, ref blobRef) {
 // backends (unless the read is local-only), falling back to extraction.
 // Exactly one goroutine runs this per in-flight fingerprint.
 func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (blobRef, error) {
-	if ref, ok := s.readBlob(fp, true); ok {
+	if ref, ok := s.readBlob(fp); ok {
 		s.tm.CacheHits.With("disk").Inc()
 		return ref, nil
 	}
@@ -640,24 +639,20 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) (b
 }
 
 // readBlob reads fp's persisted blob and verifies it against its digest.
-// A blob with no digest file was written by an older build: when
-// undigested is set, it is checked by decoding it instead; otherwise it
-// is not used. ok is false when there is no usable blob; one that fails
-// its check is counted and logged as corrupt.
-func (s *Store) readBlob(fp string, undigested bool) (ref blobRef, ok bool) {
+// ok is false when there is no usable blob. A blob with no digest file
+// beside it counts as absent; one that fails its check is counted and
+// logged as corrupt.
+func (s *Store) readBlob(fp string) (ref blobRef, ok bool) {
 	blob, err := os.ReadFile(s.policyPath(fp))
 	if err != nil {
 		return blobRef{}, false
 	}
 	ref, err = verify(blob, s.digestPath(fp))
-	if errors.Is(err, errNoDigest) {
-		if !undigested {
-			return blobRef{}, false
-		}
-		_, err = s.decode(blob)
-	}
-	if err == nil {
+	switch {
+	case err == nil:
 		return ref, true
+	case errors.Is(err, errNoDigest):
+		return blobRef{}, false
 	}
 	s.tm.CorruptBlobs.Inc()
 	s.log.Warn("store: corrupt policy blob, re-extracting", "fingerprint", fp, "err", err)
@@ -849,31 +844,48 @@ func (s *Store) decode(blob []byte) (*policy.ProgramPolicies, error) {
 	return policy.ImportJSON(blob)
 }
 
-// DiffContext differences the policies of two fingerprints. The report
-// is the same value oracle.Diff computes on in-process libraries: the
-// policy wire format round-trips everything differencing consumes.
-// Fingerprints whose policies were extracted under different check
-// domains fail loudly with oracle.ErrDomainMismatch — their check sets
-// index different tables and comparing them would be nonsense.
-func (s *Store) DiffContext(ctx context.Context, fpA, fpB string) (*diff.Report, error) {
-	a, b, err := s.readPair(ctx, fpA, fpB)
-	if err != nil {
-		return nil, err
-	}
-	return s.compare(fpA, fpB, a, b)
+// Report is one diff report as DiffWire serves it, and the value the
+// report cache holds: the report's wire bytes with what the reconcile
+// controller records of it. Callers must not mutate it.
+type Report struct {
+	// Wire is diff.Report.EncodeJSON's bytes, what `polora diff -json`
+	// prints.
+	Wire []byte
+	// Domain is the compared policies' domain ID, as the report carries it.
+	Domain string
+	// RootKeys are the stable root keys (diff.Group.RootKey) of the
+	// report's groups, sorted; Manifestations is the report's
+	// TotalManifestations.
+	RootKeys       []string
+	Manifestations int
 }
 
-// DiffWire returns the wire bytes of DiffContext's report
-// (Report.EncodeJSON, what `polora diff -json` prints) and the domain ID
-// the report carries. A report is a function of the two blobs compared,
-// so it is cached under their digests: a repeated diff, even of blobs
-// read back from disk, decodes, compares and encodes nothing. The cache
-// holds no errors, and its reports total at most the bytes of the blobs
-// the LRU holds. Callers must not mutate the bytes.
-func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, domain string, err error) {
-	a, b, err := s.readPair(ctx, fpA, fpB)
+// size is what the report counts against the report cache's bound: its
+// wire bytes and the bytes of its root keys.
+func (r Report) size() int {
+	n := len(r.Wire)
+	for _, k := range r.RootKeys {
+		n += len(k)
+	}
+	return n
+}
+
+// DiffWire differences the policies of two fingerprints and returns the
+// report. Fingerprints whose policies were extracted under different
+// check domains fail loudly with oracle.ErrDomainMismatch — their check
+// sets index different tables and comparing them would be nonsense. A
+// report is a function of the two blobs compared, so it is cached under
+// their digests: a repeated diff, even of blobs read back from disk,
+// decodes, compares and encodes nothing. The cache holds no errors, and
+// its reports total at most the bytes of the blobs the LRU holds.
+func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (Report, error) {
+	a, err := s.read(ctx, fpA)
 	if err != nil {
-		return nil, "", err
+		return Report{}, err
+	}
+	b, err := s.read(ctx, fpB)
+	if err != nil {
+		return Report{}, err
 	}
 	key := reportKey{a.sum, b.sum}
 	s.mu.Lock()
@@ -882,37 +894,35 @@ func (s *Store) DiffWire(ctx context.Context, fpA, fpB string) (wire []byte, dom
 	if ok {
 		s.tm.ReportHits.Inc()
 		s.tm.Diffs.Inc()
-		return r.wire, r.domain, nil
+		return r, nil
 	}
 	rep, err := s.compare(fpA, fpB, a, b)
 	if err != nil {
-		return nil, "", err
+		return Report{}, err
 	}
-	if wire, err = rep.EncodeJSON(); err != nil {
-		return nil, "", fmt.Errorf("store: encoding the diff of %s and %s: %w", fpA, fpB, err)
+	r = Report{Domain: rep.Domain, RootKeys: make([]string, len(rep.Groups)), Manifestations: rep.TotalManifestations()}
+	if r.Wire, err = rep.EncodeJSON(); err != nil {
+		return Report{}, fmt.Errorf("store: encoding the diff of %s and %s: %w", fpA, fpB, err)
 	}
+	for i, g := range rep.Groups {
+		r.RootKeys[i] = g.RootKey
+	}
+	sort.Strings(r.RootKeys)
 	s.mu.Lock()
 	// The reports never outweigh the resident blobs, so with the blob
 	// cache disabled none stays cached.
-	s.reports.put(key, report{wire, rep.Domain}, len(wire))
+	s.reports.put(key, r, r.size())
 	for s.reports.bytes > s.cache.bytes {
 		s.reports.evictOldest()
 	}
 	s.mu.Unlock()
-	return wire, rep.Domain, nil
-}
-
-// readPair reads the blobs of a diff's two fingerprints.
-func (s *Store) readPair(ctx context.Context, fpA, fpB string) (a, b blobRef, err error) {
-	if a, err = s.read(ctx, fpA); err == nil {
-		b, err = s.read(ctx, fpB)
-	}
-	return a, b, err
+	return r, nil
 }
 
 // compare decodes two fingerprints' blobs, differences their policy sets
-// and counts the diff. Sets of different check domains fail with
-// oracle.ErrDomainMismatch. The decoded sets are not kept.
+// and counts the diff: DiffWire's path on a report-cache miss. Sets of
+// different check domains fail with oracle.ErrDomainMismatch. The decoded
+// sets are not kept.
 func (s *Store) compare(fpA, fpB string, a, b blobRef) (*diff.Report, error) {
 	pa, err := s.decode(a.blob)
 	if err != nil {
@@ -924,19 +934,10 @@ func (s *Store) compare(fpA, fpB string, a, b blobRef) (*diff.Report, error) {
 	}
 	if pa.Domain != pb.Domain {
 		return nil, fmt.Errorf("%w: %s has %q, %s has %q",
-			oracle.ErrDomainMismatch, fpA, domainLabel(pa.Domain), fpB, domainLabel(pb.Domain))
+			oracle.ErrDomainMismatch, fpA, secmodel.DomainLabel(pa.Domain), fpB, secmodel.DomainLabel(pb.Domain))
 	}
 	s.tm.Diffs.Inc()
 	return diff.Compare(pa, pb), nil
-}
-
-// domainLabel spells the default domain's canonical empty string as its
-// registered ID for error messages.
-func domainLabel(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
 }
 
 // Stats snapshots the store counters from its metric instruments.

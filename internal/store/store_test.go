@@ -3,18 +3,20 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"policyoracle/internal/diff"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
-	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
 )
 
@@ -279,8 +281,12 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 	if fpA == fpB {
 		t.Fatal("distinct bundles collided")
 	}
-	rep, err := s.DiffContext(context.Background(), fpA, fpB)
+	r, err := s.DiffWire(context.Background(), fpA, fpB)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rep diff.JSONReport
+	if err := json.Unmarshal(r.Wire, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.LibA != "a" || rep.LibB != "b" {
@@ -290,13 +296,19 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 		t.Fatal("seeded missing checkWrite not reported")
 	}
 	found := false
+	manifestations := 0
 	for _, g := range rep.Groups {
-		if strings.Contains(g.DiffChecks.StringIn(secmodel.SecurityManager()), "checkWrite") && g.MissingIn == "b" {
+		if slices.Contains(g.DiffChecks, "checkWrite") && g.MissingIn == "b" {
 			found = true
 		}
+		manifestations += g.Manifestations
 	}
 	if !found {
-		t.Errorf("no group reports checkWrite missing in b: %s", rep)
+		t.Errorf("no group reports checkWrite missing in b: %s", r.Wire)
+	}
+	if len(r.RootKeys) != len(rep.Groups) || r.Manifestations != manifestations {
+		t.Errorf("report entry has %d root keys and %d manifestations, its wire %d groups and %d manifestations",
+			len(r.RootKeys), r.Manifestations, len(rep.Groups), manifestations)
 	}
 	if got := s.Stats().Diffs; got != 1 {
 		t.Errorf("Diffs = %d, want 1", got)
@@ -457,7 +469,7 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DiffContext(context.Background(), fpA, fpB); err != nil {
+	if _, err := s.DiffWire(context.Background(), fpA, fpB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Policies(fpA); err != nil { // evicted by fpB: disk hit
@@ -496,7 +508,7 @@ func TestStoreMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.DiffWire(context.Background(), fpA, fpA); err != nil {
+		if _, err := s.DiffWire(context.Background(), fpA, fpA); err != nil {
 			t.Fatal(err)
 		}
 	}

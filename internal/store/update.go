@@ -65,7 +65,7 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 		return nil, err
 	}
 	res := &UpdateResult{Fingerprint: fp, Created: created}
-	if ref, ok := s.readBlob(fp, true); ok {
+	if ref, ok := s.readBlob(fp); ok {
 		// Content already extracted: nothing to re-analyze, and no
 		// extraction in memory to seed the next revision.
 		if pp, err := s.decode(ref.blob); err == nil {
@@ -146,7 +146,7 @@ func (s *Store) nameLock(name string) *sync.Mutex {
 // re-analyze from the seed blob, and it trusts the sidecar's dependency
 // sets to say which entries a change reaches, so a seed that merely
 // decodes could carry a stale or corrupted policy into the new revision.
-// A blob or sidecar written without a digest never seeds.
+// A blob or sidecar with no digest file never seeds.
 func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 	side, err := os.ReadFile(s.depsPath(prevFP))
 	if err != nil {
@@ -161,7 +161,7 @@ func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 		s.log.Warn("store: corrupt incremental sidecar", "fingerprint", prevFP, "err", err)
 		return nil
 	}
-	ref, ok := s.readBlob(prevFP, false)
+	ref, ok := s.readBlob(prevFP)
 	if !ok {
 		return nil
 	}

@@ -71,7 +71,7 @@ type StoreMetrics struct {
 	Extractions     *Counter
 	ExtractFailures *Counter
 	// CorruptBlobs counts blobs that failed their check (a persisted
-	// blob's digest, or the decode of a backend or digest-less blob).
+	// blob's digest, or the decode of a backend blob).
 	CorruptBlobs *Counter
 	// Decodes counts policy-blob imports the store ran, two for each diff
 	// it computed: polorad_store_policy_decodes_total.

@@ -108,7 +108,6 @@ const (
 	KwSwitch
 	KwCase
 	KwDefault
-	KwCast // explicit marker kind; casts are parsed structurally
 )
 
 var kindNames = map[Kind]string{

@@ -43,26 +43,22 @@ func TestDuplicateFieldError(t *testing.T) {
 	}
 }
 
-func TestTypeStringsAndIsRef(t *testing.T) {
+func TestTypeStrings(t *testing.T) {
 	p := build(t, `package p; public class Box { }`)
 	box := p.Classes["p.Box"]
 	cases := []struct {
-		t     Type
-		s     string
-		isRef bool
+		t Type
+		s string
 	}{
-		{Type{Prim: "int"}, "int", false},
-		{Type{Prim: "int", Dims: 2}, "int[][]", true},
-		{Type{Class: box}, "Box", true},
-		{Type{Named: "a.b.Missing"}, "Missing", true},
-		{Type{Prim: "void"}, "void", false},
+		{Type{Prim: "int"}, "int"},
+		{Type{Prim: "int", Dims: 2}, "int[][]"},
+		{Type{Class: box}, "Box"},
+		{Type{Named: "a.b.Missing"}, "Missing"},
+		{Type{Prim: "void"}, "void"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.s {
 			t.Errorf("String() = %q, want %q", got, c.s)
-		}
-		if got := c.t.IsRef(); got != c.isRef {
-			t.Errorf("%s.IsRef() = %t", c.s, got)
 		}
 	}
 }

@@ -104,10 +104,6 @@ type Type struct {
 	Dims  int
 }
 
-// IsRef reports whether the type is a reference type (class, unresolved
-// name, or any array).
-func (t Type) IsRef() bool { return t.Dims > 0 || t.Class != nil || t.Named != "" }
-
 // SimpleName returns the type's simple name plus array suffixes; it is the
 // cross-implementation matching key for parameter types.
 func (t Type) SimpleName() string {
